@@ -13,6 +13,7 @@ from .certificate import (
     CertificateReport,
     ParamEstimate,
     SamplePair,
+    SampleSet,
     certify_region,
     directed_pairs,
     estimate_params,
@@ -54,6 +55,7 @@ from .maps import (
     contraction_margin,
     dass_gupta_margin,
     eval_map,
+    margin_terms,
     mixed_monotone_check,
     rational_min_term,
 )
@@ -101,6 +103,7 @@ __all__ = [
     "ParamEstimate",
     "ProblemSpec",
     "SamplePair",
+    "SampleSet",
     "SeedRun",
     "SolveResult",
     "SpaceDescriptor",
@@ -127,6 +130,7 @@ __all__ = [
     "leq",
     "load_problem",
     "make_sample_pair",
+    "margin_terms",
     "mixed_monotone_check",
     "parse_expression",
     "product_leq",

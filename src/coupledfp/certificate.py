@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .maps import ContractionParams, CoupledMap, rational_min_term
-from .parallel import pmap
-from .spaces import Pair, SpaceDescriptor, as_point, distance, product_leq
+from .maps import ContractionParams, CoupledMap, margin_terms
+from .spaces import Pair, SpaceDescriptor, as_point, product_leq, rows_leq
 
 # Resolution of the bisection search for the minimal feasible ratio.
 RATIO_TOL = 1e-6
@@ -49,28 +48,82 @@ class SamplePair:
     distance_sum: float
 
     def margin(self, params: ContractionParams) -> float:
-        return (
-            params.alpha * self.rational_term
-            + 0.5 * params.beta * self.distance_sum
-            - self.image_distance
+        return params.margin(self.image_distance, self.rational_term, self.distance_sum)
+
+
+@dataclass(frozen=True, eq=False)
+class SampleSet:
+    """Ordered pairs of pairs held as arrays, one row per sample.
+
+    ``parts`` holds one (a_first, a_second, b_first, b_second) tuple of
+    (n_i, dim) stacks per sample family, in sample order; families are kept
+    apart rather than copied into one stack. The three (n,) term arrays are
+    those of `margin_terms` and run over all samples. Indexing and iteration
+    yield a `SamplePair` with its own copy of the row; `+` joins two sets.
+    """
+
+    parts: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+    image_distance: np.ndarray
+    rational_term: np.ndarray
+    distance_sum: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.image_distance)
+
+    def __getitem__(self, k: int) -> SamplePair:
+        n = len(self)
+        if not -n <= k < n:
+            raise IndexError(f"sample {k} of a set of {n}")
+        k %= n
+        row = k
+        for part in self.parts:
+            if row < len(part[0]):
+                break
+            row -= len(part[0])
+        a_first, a_second, b_first, b_second = (stack[row].copy() for stack in part)
+        return SamplePair(
+            Pair(a_first, a_second),
+            Pair(b_first, b_second),
+            float(self.image_distance[k]),
+            float(self.rational_term[k]),
+            float(self.distance_sum[k]),
         )
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+    def __add__(self, other: "SampleSet") -> "SampleSet":
+        if not isinstance(other, SampleSet):
+            return NotImplemented
+        return SampleSet(
+            self.parts + other.parts,
+            np.concatenate([self.image_distance, other.image_distance]),
+            np.concatenate([self.rational_term, other.rational_term]),
+            np.concatenate([self.distance_sum, other.distance_sum]),
+        )
+
+
+def _sample_set(
+    space: SpaceDescriptor, F: CoupledMap, a_first, a_second, b_first, b_second
+) -> SampleSet:
+    """The SampleSet of (n, dim) coordinate stacks already ordered b <= a."""
+    stacks = (a_first, a_second, b_first, b_second)
+    parts = (stacks,) if len(a_first) else ()
+    return SampleSet(parts, *margin_terms(space, F, *stacks))
+
+
+def _explicit_pairs(space: SpaceDescriptor, F: CoupledMap, pairs) -> SampleSet:
+    """The SampleSet of given (a, b) pairs; each must have b <= a."""
+    for a, b in pairs:
+        if not product_leq(space, b, a):
+            raise InputError("sample pairs require b <= a in the pair order")
+    stacks = zip(*((a.first, a.second, b.first, b.second) for a, b in pairs))
+    return _sample_set(space, F, *(np.array(stack) for stack in stacks))
 
 
 def make_sample_pair(space: SpaceDescriptor, F: CoupledMap, a: Pair, b: Pair) -> SamplePair:
     """Cache the margin ingredients for an ordered pair of pairs."""
-    if not product_leq(space, b, a):
-        raise InputError("sample pairs require b <= a in the pair order")
-    image_distance = distance(
-        space, F.evaluate(a.first, a.second), F.evaluate(b.first, b.second)
-    )
-    return SamplePair(
-        a=a,
-        b=b,
-        image_distance=image_distance,
-        rational_term=rational_min_term(space, F, a, b),
-        distance_sum=distance(space, a.first, b.first)
-        + distance(space, a.second, b.second),
-    )
+    return _explicit_pairs(space, F, [(a, b)])[0]
 
 
 def _region_bounds(F: CoupledMap, region_box) -> tuple[np.ndarray, np.ndarray]:
@@ -92,7 +145,7 @@ def sample_comparable_pairs(
     region_box,
     count: int,
     rng_seed: int,
-) -> list[SamplePair]:
+) -> SampleSet:
     """Draw ``count`` ordered pairs of pairs uniformly-ish over the region.
 
     b is uniform in the box; a adds a nonnegative offset to the first
@@ -103,64 +156,48 @@ def sample_comparable_pairs(
     if count < 0:
         raise InputError(f"count must be >= 0, got {count}")
     lo, hi = _region_bounds(F, region_box)
-    if count == 0:
-        return []
     rng = np.random.default_rng(rng_seed)
     width = hi - lo
-    b_first = rng.uniform(lo, hi, size=(count, F.dim))
-    b_second = rng.uniform(lo, hi, size=(count, F.dim))
-    up = rng.uniform(0.0, 1.0, size=(count, F.dim)) * width
-    down = rng.uniform(0.0, 1.0, size=(count, F.dim)) * width
-    a_first = np.minimum(b_first + up, hi)
-    a_second = np.maximum(b_second - down, lo)
-
-    def build(k: int) -> SamplePair:
-        return make_sample_pair(
-            space, F, Pair(a_first[k], a_second[k]), Pair(b_first[k], b_second[k])
-        )
-
-    return pmap(build, range(count))
+    shape = (count, F.dim)
+    b_first = rng.uniform(lo, hi, size=shape)
+    b_second = rng.uniform(lo, hi, size=shape)
+    a_first = np.minimum(b_first + rng.uniform(0.0, 1.0, size=shape) * width, hi)
+    a_second = np.maximum(b_second - rng.uniform(0.0, 1.0, size=shape) * width, lo)
+    return _sample_set(space, F, a_first, a_second, b_first, b_second)
 
 
 def directed_pairs(
     space: SpaceDescriptor, F: CoupledMap, region_box=None, walk_steps: int = 8
-) -> list[SamplePair]:
+) -> SampleSet:
     """Deterministic pairs aimed at the places uniform sampling misses.
 
     Three families: diagonal pairs a = b at box extremes and center (their
     margin degenerates to alpha * rational_term), the extreme ordered pair
     (top, bottom) vs (bottom, top) and its half-way variants, and
     consecutive iterates of a short walk started from (bottom, top), whose
-    rational term shrinks with the displacement. Non-comparable or
-    out-of-domain candidates are silently skipped.
+    rational term shrinks with the displacement. Non-comparable candidates
+    are silently skipped. The walk stops at its first point outside the
+    box, but keeps the pair ending there, whose evaluation then fails if it
+    is comparable.
     """
     lo, hi = _region_bounds(F, region_box)
     mid = 0.5 * (lo + hi)
-    pairs: list[tuple[Pair, Pair]] = []
-    for p in (lo, mid, hi):
-        for q in (lo, mid, hi):
-            pairs.append((Pair(p, q), Pair(p, q)))
-    extremes = [
-        (Pair(hi, lo), Pair(lo, hi)),
-        (Pair(mid, mid), Pair(lo, hi)),
-        (Pair(hi, lo), Pair(mid, mid)),
-    ]
-    pairs.extend(extremes)
+    # (a_first, a_second, b_first, b_second) per candidate
+    candidates = [(p, q, p, q) for p in (lo, mid, hi) for q in (lo, mid, hi)]
+    candidates += [(hi, lo, lo, hi), (mid, mid, lo, hi), (hi, lo, mid, mid)]
 
     x, y = lo, hi
     try:
         for _ in range(walk_steps):
             x_next, y_next = F.evaluate(x, y), F.evaluate(y, x)
-            pairs.append((Pair(x_next, y_next), Pair(x, y)))
+            candidates.append((x_next, y_next, x, y))
             x, y = x_next, y_next
     except DomainError:
         pass  # walk left the box; keep what we have
 
-    out = []
-    for a, b in pairs:
-        if product_leq(space, b, a):
-            out.append(make_sample_pair(space, F, a, b))
-    return out
+    a_first, a_second, b_first, b_second = (np.array(s) for s in zip(*candidates))
+    keep = rows_leq(space, b_first, a_first) & rows_leq(space, a_second, b_second)
+    return _sample_set(space, F, a_first[keep], a_second[keep], b_first[keep], b_second[keep])
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,16 +235,26 @@ class CertificateReport:
         }
 
 
+def _terms(samples: SampleSet | list[SamplePair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """image_distance, rational_term and distance_sum arrays of a sample set or list."""
+    if isinstance(samples, SampleSet):
+        return samples.image_distance, samples.rational_term, samples.distance_sum
+    return tuple(
+        np.array([getattr(s, name) for s in samples], dtype=float)
+        for name in ("image_distance", "rational_term", "distance_sum")
+    )
+
+
 def evaluate_samples(
-    params: ContractionParams, samples: list[SamplePair]
+    params: ContractionParams, samples: SampleSet | list[SamplePair]
 ) -> CertificateReport:
     """Margins of a fixed sample set under one parameter choice.
 
-    Aggregation is a count and a min, so it is order independent.
+    Aggregation is a count and a min, so it is order independent; the worst
+    pair is the first sample with the least margin.
     """
-    margins = pmap(lambda s: s.margin(params), samples)
-    violations = sum(1 for m in margins if m < 0)
-    if margins:
+    margins = params.margin(*_terms(samples))
+    if len(margins):
         worst_idx = int(np.argmin(margins))
         worst_margin: float | None = float(margins[worst_idx])
         worst_pair: SamplePair | None = samples[worst_idx]
@@ -216,7 +263,7 @@ def evaluate_samples(
         worst_pair = None
     return CertificateReport(
         sample_count=len(samples),
-        violations=violations,
+        violations=int(np.count_nonzero(margins < 0)),
         worst_margin=worst_margin,
         min_margin_pair=worst_pair,
         params=params,
@@ -242,9 +289,9 @@ def certify_region(
     """
     samples = sample_comparable_pairs(space, F, region_box, count, rng_seed)
     if include_directed:
-        samples.extend(directed_pairs(space, F, region_box))
-    for a, b in adversarial_pairs or []:
-        samples.append(make_sample_pair(space, F, a, b))
+        samples += directed_pairs(space, F, region_box)
+    if adversarial_pairs:
+        samples += _explicit_pairs(space, F, adversarial_pairs)
     return evaluate_samples(params, samples)
 
 
@@ -300,7 +347,7 @@ def _alpha_interval(
     return lo, hi
 
 
-def estimate_params(samples: list[SamplePair]) -> ParamEstimate:
+def estimate_params(samples: SampleSet | list[SamplePair]) -> ParamEstimate:
     """Invert the contraction inequality: minimal ratio over the samples.
 
     The constraints are linear in (alpha, beta) and feasibility is monotone
@@ -309,11 +356,9 @@ def estimate_params(samples: list[SamplePair]) -> ParamEstimate:
     When even arbitrarily small ratios are feasible the bisection floor is
     reported; when no ratio below 1 works the estimate is infeasible.
     """
-    if not samples:
+    if not len(samples):
         raise InputError("estimate_params needs at least one sample")
-    image_distance = np.array([s.image_distance for s in samples])
-    rational_term = np.array([s.rational_term for s in samples])
-    distance_sum = np.array([s.distance_sum for s in samples])
+    image_distance, rational_term, distance_sum = _terms(samples)
 
     def feasible(r: float) -> bool:
         lo, hi = _alpha_interval(r, image_distance, rational_term, distance_sum)

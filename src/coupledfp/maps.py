@@ -4,6 +4,11 @@ This is the core of the package: the rational quantity entering the
 contraction inequality, the inequality's margin at a given pair of pairs,
 the mixed-monotonicity falsification check, and the single-variable
 Dass-Gupta margin recovered on the diagonal f(x) = F(x, x).
+
+Sampled checks evaluate the map on (n, dim) row stacks through
+`CoupledMap.evaluate_rows`, in blocks of at most BLOCK_FLOATS floats per
+stack, and `margin_terms` is the one place the inequality's ingredients are
+computed.
 """
 
 from __future__ import annotations
@@ -14,8 +19,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ComparabilityError, DomainError, InputError
-from .spaces import Pair, SpaceDescriptor, as_point, distance, product_leq
+from .errors import ComparabilityError, DimensionMismatchError, DomainError, InputError
+from .spaces import Pair, SpaceDescriptor, as_point, distance, product_leq, row_distances
+
+# Floats in one stack of map arguments: sampled checks evaluate their images
+# in blocks of this size, so memory stays bounded whatever the sample count.
+BLOCK_FLOATS = 2**16
 
 
 @dataclass(frozen=True)
@@ -57,6 +66,14 @@ class ContractionParams:
         """Geometric rate beta / (1 - alpha) governing the gap bounds."""
         return self.beta / (1.0 - self.alpha)
 
+    def margin(self, image_distance, rational_term, distance_sum):
+        """Slack of the rational contraction inequality; >= 0 where it holds.
+
+        alpha * rational_term + (beta / 2) * distance_sum - image_distance,
+        for floats or for arrays of them (see `margin_terms`).
+        """
+        return self.alpha * rational_term + 0.5 * self.beta * distance_sum - image_distance
+
 
 @dataclass(frozen=True, eq=False)
 class CoupledMap:
@@ -66,6 +83,11 @@ class CoupledMap:
     one; it must be total and deterministic on the box. The box is the
     region on which the map's hypotheses (monotonicity, contraction) are
     claimed; evaluation outside it raises :class:`DomainError`.
+
+    A ``batched`` evaluator also takes two (n, dim) row stacks and returns
+    the (n, dim) stack of images, row k equal bit for bit to its value on
+    row k alone; `evaluate_rows` then makes one call per stack instead of
+    one per row.
     """
 
     name: str
@@ -73,6 +95,7 @@ class CoupledMap:
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     lower: np.ndarray
     upper: np.ndarray
+    batched: bool = False
 
     def __post_init__(self):
         lower = as_point(self.lower, dim=self.dim)
@@ -91,8 +114,7 @@ class CoupledMap:
         half = 0.5 * padding * (self.upper - self.lower)
         return bool(np.all(p >= center - half) and np.all(p <= center + half))
 
-    def evaluate(self, x, y, padding: float = 1.0) -> np.ndarray:
-        """Apply the map, enforcing the (possibly padded) domain box."""
+    def _check_args(self, x, y, padding: float) -> tuple[np.ndarray, np.ndarray]:
         x = as_point(x, dim=self.dim)
         y = as_point(y, dim=self.dim)
         for p in (x, y):
@@ -100,7 +122,10 @@ class CoupledMap:
                 raise DomainError(
                     f"input {p.tolist()} outside the domain box of {self.name!r}"
                 )
-        out = np.atleast_1d(np.asarray(self.evaluator(x, y), dtype=float))
+        return x, y
+
+    def _check_image(self, out) -> np.ndarray:
+        out = np.atleast_1d(np.asarray(out, dtype=float))
         if out.shape != (self.dim,):
             raise DomainError(
                 f"map {self.name!r} returned shape {out.shape}, expected ({self.dim},)"
@@ -109,34 +134,129 @@ class CoupledMap:
             raise DomainError(f"map {self.name!r} returned non-finite values: {out!r}")
         return out
 
+    def _evaluate_stack(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """One call of a batched evaluator on in-box rows, with its images checked."""
+        if not len(X):
+            return np.empty((0, self.dim))
+        out = np.asarray(self.evaluator(X, Y), dtype=float)
+        if out.shape != X.shape:
+            raise DomainError(
+                f"map {self.name!r} returned shape {out.shape}, expected {X.shape}"
+            )
+        finite = np.all(np.isfinite(out), axis=1)
+        if not finite.all():
+            self._check_image(out[np.argmin(finite)])  # raises for that row
+        return out
+
+    def evaluate(self, x, y, padding: float = 1.0) -> np.ndarray:
+        """Apply the map, enforcing the (possibly padded) domain box."""
+        x, y = self._check_args(x, y, padding)
+        return self._check_image(self.evaluator(x, y))
+
+    def evaluate_rows(self, X, Y) -> np.ndarray:
+        """F(X[k], Y[k]) for each row k of two (n, dim) stacks, as a stack.
+
+        Makes `evaluate`'s checks (finite arguments in the box, image shape,
+        finite image) as array operations. A failure names the first bad
+        row, with the message `evaluate` gives for that row.
+        """
+        X = np.asarray(X, dtype=float)
+        Y = np.asarray(Y, dtype=float)
+        if X.ndim != 2 or X.shape != Y.shape or X.shape[1] != self.dim:
+            raise DimensionMismatchError(
+                f"expected two (n, {self.dim}) stacks, got {X.shape} and {Y.shape}"
+            )
+        center = 0.5 * (self.lower + self.upper)
+        half = 0.5 * (self.upper - self.lower)
+        lo, hi = center - half, center + half  # the box exactly as `contains` sees it
+        inside = np.all((X >= lo) & (X <= hi), axis=1) & np.all((Y >= lo) & (Y <= hi), axis=1)
+        good = len(X) if inside.all() else int(np.argmin(inside))
+        if self.batched:
+            out = self._evaluate_stack(X[:good], Y[:good])
+        else:
+            out = np.empty((good, self.dim))
+            for k in range(good):
+                out[k] = self._check_image(self.evaluator(X[k], Y[k]))
+        if good < len(X):
+            self._check_args(X[good], Y[good], 1.0)  # raises for this row
+        return out
+
 
 def eval_map(F: CoupledMap, x, y) -> np.ndarray:
     """F(x, y) with the strict domain check."""
     return F.evaluate(x, y)
 
 
-def rational_min_term(space: SpaceDescriptor, F: CoupledMap, a: Pair, b: Pair) -> float:
-    """The rational quantity coupling the two self-displacements.
+def _sample_blocks(n: int, dim: int, images: int):
+    """[lo, hi) sample ranges whose ``images`` rows per sample fit in BLOCK_FLOATS."""
+    step = max(1, BLOCK_FLOATS // (dim * images))
+    return ((lo, min(lo + step, n)) for lo in range(0, n, step))
 
-    With a = (x, y) and b = (u, v), returns
+
+def _images(F: CoupledMap, args) -> list[np.ndarray]:
+    """F at each (first, second) pair of row stacks, in one checked call.
+
+    The stacks are interleaved row by row, so a failure names the same row
+    that evaluating each sample's images in turn would have failed on.
+    """
+    first = np.stack([p for p, _ in args], axis=1).reshape(-1, F.dim)
+    second = np.stack([q for _, q in args], axis=1).reshape(-1, F.dim)
+    out = F.evaluate_rows(first, second).reshape(-1, len(args), F.dim)
+    return [out[:, j] for j in range(len(args))]
+
+
+def margin_terms(
+    space: SpaceDescriptor, F: CoupledMap, x, y, u, v
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The contraction inequality's ingredients at each row of four stacks.
+
+    Row k of the (n, dim) stacks x, y, u, v is the pair of pairs
+    a = (x, y), b = (u, v). Returns three (n,) arrays: the image distance
+    d(F(x,y), F(u,v)), the rational term
 
         min( d(x,F(x,y)) * (2 + d(u,F(u,v)) + d(v,F(v,u))) / D,
              d(u,F(u,v)) * (2 + d(x,F(x,y)) + d(y,F(y,x))) / D )
 
-    where D = 2 + d(x,u) + d(y,v). It is always >= 0, the denominator is
-    always >= 2, and it vanishes whenever either pair is a coupled fixed
-    pair (one numerator's leading factor is zero).
+    with D = 2 + d(x,u) + d(y,v), and the distance sum d(x,u) + d(y,v).
+    The rational term is always >= 0, its denominator always >= 2, and it
+    vanishes whenever either pair is a coupled fixed pair. Each of the four
+    images is evaluated once per row, in blocks of bounded size.
     """
-    x, y = a.first, a.second
-    u, v = b.first, b.second
-    disp_x = distance(space, x, F.evaluate(x, y))
-    disp_y = distance(space, y, F.evaluate(y, x))
-    disp_u = distance(space, u, F.evaluate(u, v))
-    disp_v = distance(space, v, F.evaluate(v, u))
-    denom = 2.0 + distance(space, x, u) + distance(space, y, v)
-    term_a = disp_x * (2.0 + disp_u + disp_v) / denom
-    term_b = disp_u * (2.0 + disp_x + disp_y) / denom
-    return min(term_a, term_b)
+    if space.dim != F.dim:
+        raise DimensionMismatchError(
+            f"point of dimension {F.dim} in a space of dimension {space.dim}"
+        )
+    n = len(x)
+    image_distance, rational_term, distance_sum = np.empty(n), np.empty(n), np.empty(n)
+    for lo, hi in _sample_blocks(n, F.dim, 4):
+        xs, ys, us, vs = x[lo:hi], y[lo:hi], u[lo:hi], v[lo:hi]
+        f_xy, f_uv, f_yx, f_vu = _images(F, [(xs, ys), (us, vs), (ys, xs), (vs, us)])
+        disp_x = row_distances(space, xs, f_xy)
+        disp_y = row_distances(space, ys, f_yx)
+        disp_u = row_distances(space, us, f_uv)
+        disp_v = row_distances(space, vs, f_vu)
+        d_xu = row_distances(space, xs, us)
+        d_yv = row_distances(space, ys, vs)
+        denom = 2.0 + d_xu + d_yv
+        rational_term[lo:hi] = np.minimum(
+            disp_x * (2.0 + disp_u + disp_v) / denom,
+            disp_u * (2.0 + disp_x + disp_y) / denom,
+        )
+        image_distance[lo:hi] = row_distances(space, f_xy, f_uv)
+        distance_sum[lo:hi] = d_xu + d_yv
+    return image_distance, rational_term, distance_sum
+
+
+def _one_row(F: CoupledMap, a: Pair, b: Pair) -> list[np.ndarray]:
+    return [as_point(p, dim=F.dim)[None, :] for p in (a.first, a.second, b.first, b.second)]
+
+
+def rational_min_term(space: SpaceDescriptor, F: CoupledMap, a: Pair, b: Pair) -> float:
+    """The rational quantity coupling the two self-displacements.
+
+    With a = (x, y) and b = (u, v): the rational term of `margin_terms`.
+    """
+    return float(margin_terms(space, F, *_one_row(F, a, b))[1][0])
 
 
 def contraction_margin(
@@ -160,12 +280,7 @@ def contraction_margin(
             "contraction margin needs b <= a in the pair order "
             "(a.first >= b.first and a.second <= b.second)"
         )
-    x, y = a.first, a.second
-    u, v = b.first, b.second
-    lhs = distance(space, F.evaluate(x, y), F.evaluate(u, v))
-    span = distance(space, x, u) + distance(space, y, v)
-    rhs = params.alpha * rational_min_term(space, F, a, b) + 0.5 * params.beta * span
-    return rhs - lhs
+    return float(params.margin(*margin_terms(space, F, *_one_row(F, a, b)))[0])
 
 
 def dass_gupta_margin(
@@ -248,31 +363,33 @@ def mixed_monotone_check(
     if sample_count < 1:
         raise InputError(f"sample_count must be >= 1, got {sample_count}")
     rng = np.random.default_rng(rng_seed)
-    lo, hi = F.lower, F.upper
     # One block draw so the stream layout is fixed regardless of evaluation
     # order.
-    draws = rng.uniform(lo, hi, size=(sample_count, 6, F.dim))
-
-    violations = 0
-    worst_excess = 0.0
-    worst: MonotoneWitness | None = None
-    for k in range(sample_count):
-        p, q, y_fix, x_fix, r, s = draws[k]
+    draws = rng.uniform(F.lower, F.upper, size=(sample_count, 6, F.dim))
+    excess_first = np.empty(sample_count)
+    excess_second = np.empty(sample_count)
+    for lo, hi in _sample_blocks(sample_count, F.dim, 4):
+        p, q, y_fix, x_fix, r, s = (draws[lo:hi, j] for j in range(6))
         x1, x2 = np.minimum(p, q), np.maximum(p, q)
         y1, y2 = np.minimum(r, s), np.maximum(r, s)
-        excess_first = float(
-            np.max(F.evaluate(x1, y_fix) - F.evaluate(x2, y_fix)) - space.order_slack
+        f1, f2, g2, g1 = _images(F, [(x1, y_fix), (x2, y_fix), (x_fix, y2), (x_fix, y1)])
+        excess_first[lo:hi] = np.max(f1 - f2, axis=1) - space.order_slack
+        excess_second[lo:hi] = np.max(g2 - g1, axis=1) - space.order_slack
+
+    # A sample's excess is its larger direction, the first on ties; the
+    # worst witness is the earliest sample with the largest positive excess.
+    excess = np.maximum(excess_first, excess_second)
+    violations = int(np.count_nonzero(excess > 0))
+    k = int(np.argmax(excess))
+    if excess[k] <= 0:
+        return MonotoneReport(sample_count, violations, 0.0, None, rng_seed)
+    p, q, y_fix, x_fix, r, s = draws[k].copy()
+    if excess_first[k] >= excess_second[k]:
+        worst = MonotoneWitness(
+            "first-argument", np.minimum(p, q), np.maximum(p, q), y_fix, float(excess[k])
         )
-        excess_second = float(
-            np.max(F.evaluate(x_fix, y2) - F.evaluate(x_fix, y1)) - space.order_slack
+    else:
+        worst = MonotoneWitness(
+            "second-argument", np.minimum(r, s), np.maximum(r, s), x_fix, float(excess[k])
         )
-        bad = excess_first > 0 or excess_second > 0
-        if bad:
-            violations += 1
-            if excess_first >= excess_second and excess_first > worst_excess:
-                worst_excess = excess_first
-                worst = MonotoneWitness("first-argument", x1, x2, y_fix, excess_first)
-            elif excess_second > worst_excess:
-                worst_excess = excess_second
-                worst = MonotoneWitness("second-argument", y1, y2, x_fix, excess_second)
-    return MonotoneReport(sample_count, violations, worst_excess, worst, rng_seed)
+    return MonotoneReport(sample_count, violations, float(excess[k]), worst, rng_seed)

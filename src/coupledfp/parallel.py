@@ -15,9 +15,9 @@ ENV_VAR = "COUPLED_FP_THREADS"
 
 
 def worker_cap() -> int:
-    """Worker count: COUPLED_FP_THREADS if set, else machine parallelism."""
+    """Worker count: COUPLED_FP_THREADS if set and not empty, else machine parallelism."""
     raw = os.environ.get(ENV_VAR)
-    if raw is None:
+    if not raw:
         return os.cpu_count() or 1
     try:
         cap = int(raw)

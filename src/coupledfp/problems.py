@@ -80,6 +80,7 @@ def linear_demo() -> ProblemSpec:
         evaluator=lambda x, y: (x - y) / 4.0,
         lower=[-2.0],
         upper=[2.0],
+        batched=True,
     )
     return ProblemSpec(
         name="linear_demo",
@@ -99,6 +100,7 @@ def affine_demo() -> ProblemSpec:
         evaluator=lambda x, y: x / 3.0 - y / 4.0 + 1.0,
         lower=[-4.0],
         upper=[4.0],
+        batched=True,
     )
     value = float(Fraction(12, 11))
     return ProblemSpec(
@@ -122,7 +124,11 @@ def integral_demo(n_nodes: int = 16) -> ProblemSpec:
         return v / (1.0 + np.abs(v))
 
     def evaluator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return 0.25 + scale * (kernel @ (squash(x) - squash(y)))
+        # One kernel product per row (also for a single 1-D row), which
+        # rounds as kernel @ d does; a single d @ kernel.T over a stack (one
+        # matrix product) rounds differently.
+        d = squash(x) - squash(y)
+        return 0.25 + scale * (d[..., None, :] @ kernel.T)[..., 0, :]
 
     space = SpaceDescriptor(dim=n_nodes, metric="max")
     F = CoupledMap(
@@ -131,6 +137,7 @@ def integral_demo(n_nodes: int = 16) -> ProblemSpec:
         evaluator=evaluator,
         lower=np.full(n_nodes, -2.0),
         upper=np.full(n_nodes, 2.0),
+        batched=True,
     )
     quarter = np.full(n_nodes, 0.25)
     return ProblemSpec(

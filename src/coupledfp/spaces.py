@@ -101,12 +101,32 @@ def distance(space: SpaceDescriptor, p, q) -> float:
     return float(np.linalg.norm(p - q, ord=_NORM_ORDER[space.metric]))
 
 
+def row_distances(space: SpaceDescriptor, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Distances between matching rows of two (n, dim) stacks.
+
+    Each entry equals `distance` of its two rows bit for bit: the euclidean
+    norm takes one dot product per row, as `np.linalg.norm` does for a
+    single vector, where `norm(..., axis=1)` would round differently.
+    """
+    D = P - Q
+    if space.metric == "euclidean":
+        return np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])
+    if space.metric == "max":
+        return np.abs(D).max(axis=1)
+    return np.abs(D).sum(axis=1)
+
+
 def leq(space: SpaceDescriptor, p, q) -> bool:
     """Coordinatewise order: p <= q iff p_i <= q_i + order_slack for all i."""
     p = as_point(p)
     q = as_point(q)
     _check_dims(space, p, q)
     return bool(np.all(p <= q + space.order_slack))
+
+
+def rows_leq(space: SpaceDescriptor, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """`leq` of each row of P with the matching row of Q, as a bool array."""
+    return np.all(P <= Q + space.order_slack, axis=1)
 
 
 def product_leq(space: SpaceDescriptor, a: Pair, b: Pair) -> bool:

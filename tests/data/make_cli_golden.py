@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Write cli_golden.json: argv -> exit code and stdout of `coupledfp.cli.main`.
+
+    PYTHONPATH=src python tests/data/make_cli_golden.py
+
+Run it only against the commit whose output the file pins (the commit
+before batched margin evaluation), never to refresh the file after a
+change to the program: tests/test_cli_golden.py replays every entry and
+requires byte-identical output. Entries that exit 1 also keep stderr, so
+that error messages naming the first bad row stay pinned. Config paths in
+argv are relative to this directory.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+import warnings
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+OUT = os.path.join(HERE, "cli_golden.json")
+
+PROBLEMS = [
+    ["--problem", "linear_demo"],
+    ["--problem", "affine_demo"],
+    ["--config", "configs/integral_16.json"],
+    ["--config", "configs/integral_1024.json"],
+    ["--config", "configs/expr_2d.json"],
+]
+
+EXTRA = [
+    ["certify", "--problem", "linear_demo", "--alpha", "0.1", "--beta", "0.4", "--samples", "200"],
+    ["certify", "--problem", "linear_demo", "--samples", "10", "--alpha", "0.01", "--beta", "0.02"],
+    ["certify", "--problem", "linear_demo", "--alpha", "0", "--beta", "0.5", "--samples", "50"],
+    ["check-monotone", "--config", "configs/expr_xy.json", "--samples", "200"],
+    ["check-monotone", "--config", "configs/expr_second.json", "--samples", "200"],
+    ["estimate", "--config", "configs/expr_expand.json", "--samples", "100"],
+    ["certify", "--config", "configs/expr_ln.json", "--samples", "100"],
+    ["certify", "--config", "configs/expr_flip.json", "--samples", "100"],
+    ["list-builtins"],
+]
+
+
+def invocations() -> list[list[str]]:
+    out = []
+    for problem in PROBLEMS:
+        for seed in ("0", "1"):
+            for fmt in ([], ["--json"]):
+                tail = ["--rng-seed", seed, *fmt]
+                out += [
+                    ["solve", *problem, *tail],
+                    ["certify", *problem, "--samples", "200", *tail],
+                    ["estimate", *problem, "--samples", "200", *tail],
+                    ["check-monotone", *problem, "--samples", "200", *tail],
+                    ["probe-uniqueness", *problem, "--samples", "3", *tail],
+                ]
+    for argv in EXTRA:
+        out += [argv, [*argv, "--json"]]
+    return out
+
+
+def resolve(argv: list[str]) -> list[str]:
+    """argv with every --config path made absolute under this directory."""
+    return [
+        os.path.join(HERE, arg) if i > 0 and argv[i - 1] == "--config" else arg
+        for i, arg in enumerate(argv)
+    ]
+
+
+def run(main, argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(resolve(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def main() -> None:
+    from coupledfp.cli import main as cli_main
+
+    entries = []
+    for argv in invocations():
+        code, stdout, stderr = run(cli_main, argv)
+        entry = {"argv": argv, "exit": code, "stdout": stdout}
+        if code == 1:
+            entry["stderr"] = stderr
+        entries.append(entry)
+        print(code, " ".join(argv), file=sys.stderr)
+    with open(OUT, "w", encoding="utf-8") as fh:
+        json.dump(entries, fh, indent=1)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from coupledfp import InputError
 from coupledfp.cli import main
+from coupledfp.parallel import worker_cap
 
 
 def run_cli(capsys, *argv):
@@ -207,3 +212,38 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 1
+
+
+class TestModuleEntryPoints:
+    ARGV = ["certify", "--problem", "linear_demo", "--samples", "10",
+            "--alpha", "0.01", "--beta", "0.02"]
+
+    @pytest.mark.parametrize("module", ["coupledfp", "coupledfp.cli"])
+    def test_python_m_matches_in_process(self, capsys, module):
+        code, out, _ = run_cli(capsys, *self.ARGV)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *self.ARGV],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert code == 2
+        assert proc.returncode == 2
+        assert proc.stdout == out
+
+
+class TestThreadsVariable:
+    def test_empty_counts_as_unset(self, capsys, monkeypatch):
+        monkeypatch.setenv("COUPLED_FP_THREADS", "")
+        assert worker_cap() == (os.cpu_count() or 1)
+        code, _, err = run_cli(
+            capsys, "probe-uniqueness", "--problem", "linear_demo", "--samples", "2"
+        )
+        assert code == 0, err
+
+    @pytest.mark.parametrize("raw", ["two", "0", "-1"])
+    def test_bad_values_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("COUPLED_FP_THREADS", raw)
+        with pytest.raises(InputError):
+            worker_cap()
