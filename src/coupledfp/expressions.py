@@ -10,8 +10,27 @@ Grammar (standard precedence, left associative):
 Variables are x1..xd and y1..yd (1-based coordinate indices); functions are
 exp, ln, atan, sqrt, abs. There are deliberately no conditionals or
 comparisons, so every expressible map is continuous. Evaluation fails fast
-with a DomainError on division by zero and out-of-domain ln/sqrt instead of
-letting NaNs propagate.
+with a DomainError on division by zero, out-of-domain ln/sqrt and exp
+overflow instead of letting NaNs propagate.
+
+Every node evaluates two ways, with the same floats:
+
+* ``eval`` walks the tree once for one row (two 1-D arrays), on Python
+  floats. One-row calls (iteration steps, the seed check) use it: on a
+  4-D map with a dozen function calls the tree walk takes about 15 us,
+  a stacked call on one row about 120 us, and about 1 us per row on a
+  stack of 16k rows (one core of a 2-core x86-64 VM, numpy 2.4).
+* ``eval_rows`` evaluates two (n, dim) row stacks at once and returns an
+  (n,) column. ``+ - * /``, negation, ``abs`` and ``sqrt`` are numpy ufuncs,
+  which round exactly as the same operations on Python floats. ``exp``,
+  ``ln`` and ``atan`` map ``math.exp``, ``math.log`` and ``math.atan`` over
+  the column. On 10^6 uniform random arguments ``np.exp``, ``np.log`` and
+  ``np.arctan`` differ from them in the last bit on 4.6%, 0.10% and 0.14%
+  (``np.sqrt`` on none), which would change printed margins.
+
+`evaluate_components` picks between them by the arguments' shape. When a
+domain guard trips anywhere in a stack, it re-runs the stack row by row with
+the tree walk, so the first bad row fails with the tree walk's message.
 """
 
 from __future__ import annotations
@@ -34,12 +53,28 @@ _VARIABLE_RE = re.compile(r"([xy])([0-9]+)\Z")
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_ATOM = 1, 2, 3, 4
 
 
+class _GuardTripped(Exception):
+    """A domain guard failed on some row of a stack (see evaluate_components)."""
+
+
+def _map_math(fn, t: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(fn, t.tolist()), float, len(t))
+
+
 class Expression:
-    """Base class for AST nodes; subclasses implement eval and to_text."""
+    """Base class for AST nodes; subclasses implement eval, eval_rows and to_text."""
 
     precedence = _PREC_ATOM
 
     def eval(self, x: np.ndarray, y: np.ndarray) -> float:
+        raise NotImplementedError
+
+    def eval_rows(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """The (n,) column of values on each row of two (n, dim) stacks.
+
+        Equal bit for bit to ``eval`` row by row; raises _GuardTripped
+        instead of DomainError when a guard fails on any row.
+        """
         raise NotImplementedError
 
     def to_text(self) -> str:
@@ -56,6 +91,9 @@ class Literal(Expression):
     def eval(self, x, y):
         return self.value
 
+    def eval_rows(self, X, Y):
+        return np.full(len(X), self.value)
+
     def to_text(self):
         return repr(self.value)
 
@@ -69,6 +107,9 @@ class Variable(Expression):
         vec = x if self.axis == "x" else y
         return float(vec[self.index - 1])
 
+    def eval_rows(self, X, Y):
+        return (X if self.axis == "x" else Y)[:, self.index - 1]
+
     def to_text(self):
         return f"{self.axis}{self.index}"
 
@@ -80,6 +121,9 @@ class Negate(Expression):
 
     def eval(self, x, y):
         return -self.operand.eval(x, y)
+
+    def eval_rows(self, X, Y):
+        return -self.operand.eval_rows(X, Y)
 
     def to_text(self):
         inner = self.operand.to_text()
@@ -109,6 +153,19 @@ class BinaryOp(Expression):
             return lhs * rhs
         if rhs == 0.0:
             raise DomainError(f"division by zero in {self.to_text()!r}")
+        return lhs / rhs
+
+    def eval_rows(self, X, Y):
+        lhs = self.left.eval_rows(X, Y)
+        rhs = self.right.eval_rows(X, Y)
+        if self.op == "+":
+            return lhs + rhs
+        if self.op == "-":
+            return lhs - rhs
+        if self.op == "*":
+            return lhs * rhs
+        if np.any(rhs == 0.0):
+            raise _GuardTripped
         return lhs / rhs
 
     def to_text(self):
@@ -145,6 +202,25 @@ class FunctionCall(Expression):
                 raise DomainError(f"sqrt of negative value {t}")
             return math.sqrt(t)
         return abs(t)
+
+    def eval_rows(self, X, Y):
+        t = self.arg.eval_rows(X, Y)
+        if self.name == "exp":
+            try:
+                return _map_math(math.exp, t)
+            except OverflowError:
+                raise _GuardTripped from None
+        if self.name == "ln":
+            if np.any(t <= 0.0):
+                raise _GuardTripped
+            return _map_math(math.log, t)
+        if self.name == "atan":
+            return _map_math(math.atan, t)
+        if self.name == "sqrt":
+            if np.any(t < 0.0):
+                raise _GuardTripped
+            return np.sqrt(t)
+        return np.abs(t)
 
     def to_text(self):
         return f"{self.name}({self.arg.to_text()})"
@@ -283,3 +359,29 @@ def parse_expression(text: str, dim: int) -> Expression:
 def serialize_expression(expr: Expression) -> str:
     """Text form that reparses to an evaluator with identical values."""
     return expr.to_text()
+
+
+def evaluate_components(exprs: list[Expression], x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The map whose coordinates are ``exprs``, on one row or on a row stack.
+
+    For 1-D x, y returns the (len(exprs),) image by the tree walk. For two
+    (n, dim) stacks returns the (n, len(exprs)) stack of images, row k equal
+    bit for bit to the 1-D call on row k. If a guard trips on any row, the
+    stack is evaluated again row by row with the tree walk: the first row
+    that raises raises its DomainError, and the stack returned stops after
+    the first row with a non-finite image (later rows are NaN), so that the
+    caller's finiteness check names that row.
+    """
+    if x.ndim == 1:
+        return np.array([e.eval(x, y) for e in exprs])
+    try:
+        with np.errstate(all="ignore"):  # overflow to inf, as on Python floats
+            return np.stack([e.eval_rows(x, y) for e in exprs], axis=1)
+    except _GuardTripped:
+        pass
+    out = np.full((len(x), len(exprs)), np.nan)
+    for k in range(len(x)):
+        out[k] = [e.eval(x[k], y[k]) for e in exprs]
+        if not np.all(np.isfinite(out[k])):
+            break
+    return out

@@ -87,7 +87,9 @@ class CoupledMap:
     A ``batched`` evaluator also takes two (n, dim) row stacks and returns
     the (n, dim) stack of images, row k equal bit for bit to its value on
     row k alone; `evaluate_rows` then makes one call per stack instead of
-    one per row.
+    one per row. Expression maps from configs are batched: their stacked
+    evaluation (`expressions.evaluate_components`) keeps every float of
+    the one-row tree walk, transcendental functions included.
     """
 
     name: str
@@ -109,10 +111,13 @@ class CoupledMap:
         return self.upper - self.lower
 
     def contains(self, p: np.ndarray, padding: float = 1.0) -> bool:
-        """Whether p lies in the box inflated about its center by ``padding``."""
-        center = 0.5 * (self.lower + self.upper)
-        half = 0.5 * padding * (self.upper - self.lower)
-        return bool(np.all(p >= center - half) and np.all(p <= center + half))
+        """Whether p lies in the box inflated about its center by ``padding``.
+
+        Each side moves out by (padding - 1) / 2 of the box width, so with
+        the default padding the bounds are exactly ``lower`` and ``upper``.
+        """
+        grow = 0.5 * (padding - 1.0) * (self.upper - self.lower)
+        return bool(np.all(p >= self.lower - grow) and np.all(p <= self.upper + grow))
 
     def _check_args(self, x, y, padding: float) -> tuple[np.ndarray, np.ndarray]:
         x = as_point(x, dim=self.dim)
@@ -166,9 +171,7 @@ class CoupledMap:
             raise DimensionMismatchError(
                 f"expected two (n, {self.dim}) stacks, got {X.shape} and {Y.shape}"
             )
-        center = 0.5 * (self.lower + self.upper)
-        half = 0.5 * (self.upper - self.lower)
-        lo, hi = center - half, center + half  # the box exactly as `contains` sees it
+        lo, hi = self.lower, self.upper
         inside = np.all((X >= lo) & (X <= hi), axis=1) & np.all((Y >= lo) & (Y <= hi), axis=1)
         good = len(X) if inside.all() else int(np.argmin(inside))
         if self.batched:

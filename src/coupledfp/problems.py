@@ -24,7 +24,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import InputError
-from .expressions import Expression, parse_expression
+from .expressions import Expression, evaluate_components, parse_expression
 from .maps import ContractionParams, CoupledMap
 from .spaces import METRICS, Pair, SpaceDescriptor, as_point
 
@@ -271,10 +271,12 @@ def build_problem(config: Mapping) -> ProblemSpec:
     seed = _parse_seed(config["seed"], dim)
 
     def evaluator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.array([e.eval(x, y) for e in exprs])
+        return evaluate_components(exprs, x, y)
 
     name = "custom[" + "; ".join(str(e) for e in exprs) + "]"
-    F = CoupledMap(name=name, dim=dim, evaluator=evaluator, lower=lower, upper=upper)
+    F = CoupledMap(
+        name=name, dim=dim, evaluator=evaluator, lower=lower, upper=upper, batched=True
+    )
     params = _parse_params(config["params"]) if "params" in config else None
     return ProblemSpec(
         name=name,

@@ -2,18 +2,24 @@
 """Write cli_golden.json: argv -> exit code and stdout of `coupledfp.cli.main`.
 
     PYTHONPATH=src python tests/data/make_cli_golden.py
+    PYTHONPATH=src python tests/data/make_cli_golden.py --check
 
-Run it only against the commit whose output the file pins (the commit
-before batched margin evaluation), never to refresh the file after a
-change to the program: tests/test_cli_golden.py replays every entry and
-requires byte-identical output. Entries that exit 1 also keep stderr, so
-that error messages naming the first bad row stay pinned. Config paths in
-argv are relative to this directory.
+Run it without --check only against the commit whose output the file pins
+(the commit before batched margin evaluation), never to refresh the file
+after a change to the program: tests/test_cli_golden.py replays every entry
+and requires byte-identical output. --check replays the file the same way
+without pytest and never writes it: it prints the first differing argv with
+a unified diff of its stdout or stderr and exits 1, or exits 0 when every
+entry is byte-identical. Entries that exit 1 also keep stderr, so that error
+messages naming the first bad row stay pinned. Config paths in argv are
+relative to this directory.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import difflib
 import io
 import json
 import os
@@ -79,8 +85,45 @@ def run(main, argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def check(main, entries: list[dict]) -> int:
+    """Replay entries; print the first that differs, with a diff. 0 if none does."""
+    for entry in entries:
+        code, stdout, stderr = run(main, entry["argv"])
+        got = {"exit": code, "stdout": stdout, "stderr": stderr}
+        if all(got[key] == want for key, want in entry.items() if key != "argv"):
+            continue
+        print("differs:", " ".join(entry["argv"]))
+        if code != entry["exit"]:
+            print(f"exit code {entry['exit']} -> {code}")
+        for stream in ("stdout", "stderr"):
+            if stream in entry:
+                sys.stdout.writelines(
+                    difflib.unified_diff(
+                        entry[stream].splitlines(keepends=True),
+                        got[stream].splitlines(keepends=True),
+                        f"golden {stream}",
+                        f"current {stream}",
+                    )
+                )
+        return 1
+    print(f"{len(entries)} invocations byte-identical")
+    return 0
+
+
 def main() -> None:
     from coupledfp.cli import main as cli_main
+
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check", action="store_true", help="replay the file and report the first difference"
+    )
+    if parser.parse_args().check:
+        with open(OUT, encoding="utf-8") as fh:
+            golden = json.load(fh)
+        if [e["argv"] for e in golden] != invocations():
+            print("cli_golden.json does not hold exactly the argv lists of invocations()")
+            sys.exit(1)
+        sys.exit(check(cli_main, golden))
 
     entries = []
     for argv in invocations():

@@ -10,6 +10,12 @@ from coupledfp.cli import main
 from coupledfp.parallel import worker_cap
 
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
+BOX_EDGE = os.path.join(DATA, "configs", "box_edge.json")
+sys.path.insert(0, DATA)
+import make_cli_golden  # noqa: E402
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -51,6 +57,15 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", "--config", str(path))
         assert code == 3
         assert "divergence" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["solve"], ["certify", "--samples", "500"], ["estimate", "--samples", "500"]]
+    )
+    def test_seed_on_box_edge(self, capsys, argv):
+        # the seed sits on both edges of [1.07, 2.29], and the sampled
+        # families reach them too
+        code, _, err = run_cli(capsys, *argv, "--config", BOX_EDGE)
+        assert code == 0, err
 
     def test_trace_file(self, capsys, tmp_path):
         path = tmp_path / "trace.csv"
@@ -247,3 +262,26 @@ class TestThreadsVariable:
         monkeypatch.setenv("COUPLED_FP_THREADS", raw)
         with pytest.raises(InputError):
             worker_cap()
+
+
+class TestGoldenCheck:
+    def entry(self, argv):
+        code, stdout, stderr = make_cli_golden.run(main, argv)
+        return {"argv": argv, "exit": code, "stdout": stdout, "stderr": stderr}
+
+    def test_identical_entries_pass(self, capsys):
+        entries = [self.entry(["list-builtins"]), self.entry(["solve", "--problem", "nope"])]
+        assert make_cli_golden.check(main, entries) == 0
+        assert "2 invocations byte-identical" in capsys.readouterr().out
+
+    def test_first_difference_printed_as_diff(self, capsys):
+        argv = ["solve", "--problem", "linear_demo"]
+        doctored = self.entry(argv)
+        doctored["stdout"] = doctored["stdout"].replace("converged: true", "converged: false")
+        later = self.entry(["list-builtins"])
+        later["exit"] = 3
+        assert make_cli_golden.check(main, [self.entry(["list-builtins"]), doctored, later]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("differs: solve --problem linear_demo\n")
+        assert "\n-converged: false" in out and "\n+converged: true" in out
+        assert "exit code" not in out

@@ -1,19 +1,37 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coupledfp import DomainError, ExpressionError, parse_expression, serialize_expression
+from coupledfp import (
+    CoupledMap,
+    DomainError,
+    ExpressionError,
+    certify_region,
+    directed_pairs,
+    load_problem,
+    mixed_monotone_check,
+    parse_expression,
+    sample_comparable_pairs,
+    serialize_expression,
+)
 from coupledfp.expressions import (
+    FUNCTIONS,
     BinaryOp,
     Expression,
     FunctionCall,
     Literal,
     Negate,
     Variable,
+    evaluate_components,
 )
+from coupledfp.maps import BLOCK_FLOATS
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "data", "configs")
+NODES = (Literal, Variable, Negate, BinaryOp, FunctionCall)
 
 
 def ev(text, x, y, dim=1):
@@ -117,7 +135,7 @@ class TestDomainErrors:
             ev("exp(1000)", 0.0, 0.0)
 
 
-def expressions(dim=2, depth=3):
+def expressions(dim=2, depth=3, ops="+-*", functions=("atan", "abs")):
     leaves = st.one_of(
         st.floats(min_value=0.0, max_value=100.0, allow_nan=False).map(Literal),
         st.tuples(st.sampled_from("xy"), st.integers(1, dim)).map(
@@ -128,10 +146,10 @@ def expressions(dim=2, depth=3):
     def extend(children):
         return st.one_of(
             children.map(Negate),
-            st.tuples(st.sampled_from("+-*"), children, children).map(
+            st.tuples(st.sampled_from(ops), children, children).map(
                 lambda t: BinaryOp(t[0], t[1], t[2])
             ),
-            st.tuples(st.sampled_from(["atan", "abs"]), children).map(
+            st.tuples(st.sampled_from(functions), children).map(
                 lambda t: FunctionCall(t[0], t[1])
             ),
         )
@@ -158,3 +176,147 @@ class TestRoundTrip:
         again = parse_expression(serialize_expression(expr), 1)
         x, y = np.array([0.7]), np.array([-1.3])
         assert again.eval(x, y) == expr.eval(x, y)
+
+
+def expression_map(exprs, lower, upper):
+    """A batched map with the given components, as `build_problem` makes them."""
+    dim = len(exprs)
+    return CoupledMap(
+        "stacked", dim, lambda x, y: evaluate_components(exprs, x, y),
+        np.full(dim, lower), np.full(dim, upper), batched=True,
+    )
+
+
+def pointwise(F, X, Y):
+    """F.evaluate row by row (the tree walk): the images, or the first failure's message."""
+    rows = []
+    for x, y in zip(X, Y):
+        try:
+            rows.append(F.evaluate(x, y))
+        except DomainError as exc:
+            return None, str(exc)
+    return np.array(rows).reshape(X.shape), None
+
+
+def stacked(F, X, Y):
+    try:
+        return F.evaluate_rows(X, Y), None
+    except DomainError as exc:
+        return None, str(exc)
+
+
+class TestRowStacks:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(expressions(ops="+-*/", functions=FUNCTIONS), min_size=2, max_size=2),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 30),
+    )
+    def test_stack_equals_tree_walk_bit_for_bit(self, exprs, seed, n):
+        rng = np.random.default_rng(seed)
+        X, Y = rng.uniform(-3, 3, (2, n, 2))
+        # signed zeros make divisions by zero and ln(0) common
+        X[rng.random((n, 2)) < 0.1] = 0.0
+        Y[rng.random((n, 2)) < 0.1] = -0.0
+        F = expression_map(exprs, -3.0, 3.0)
+        want, want_error = pointwise(F, X, Y)
+        got, got_error = stacked(F, X, Y)
+        assert got_error == want_error
+        if want_error is None:
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", FUNCTIONS)
+    def test_functions_round_as_math(self, name):
+        # np.exp, np.log and np.arctan round differently on 0.1% to 5% of
+        # such arguments, so this many rows would show them
+        expr = parse_expression(f"{name}(x1)", 1)
+        X = np.random.default_rng(11).uniform(0.0, 10.0, (20_000, 1))
+        want = [expr.eval(x, x) for x in X]
+        assert evaluate_components([expr], X, X).tobytes() == np.array(want).tobytes()
+
+    # component, x1 of each row (y1 = 0.25), and a part of the expected
+    # message that identifies the first bad row
+    FAILURES = [
+        ("1/x1 + ln(x1 + 0.5)", [0.5, 0.0, -0.75], "division by zero in '1.0 / x1'"),
+        ("1/x1 + ln(x1 + 0.5)", [0.5, -0.0, -0.75], "division by zero in '1.0 / x1'"),
+        ("1/x1 + ln(x1 + 0.5)", [0.5, -0.75, 0.0], "ln of non-positive value -0.25"),
+        ("ln(x1)", [0.5, 0.0, -0.5], "ln of non-positive value 0.0"),
+        ("ln(x1)", [0.5, -0.5, 0.0], "ln of non-positive value -0.5"),
+        ("sqrt(x1)", [0.25, 0.0, -0.5, -0.25], "sqrt of negative value -0.5"),
+        ("exp(1000*x1)", [0.5, 0.8, 0.9], "exp overflow at argument 800.0"),
+        ("1e300*x1*1e300", [1e-300, -1.0, 1.0], "non-finite values: array([-inf])"),
+        ("ln(x1*1e300*1e300 - x1*1e300*1e300)", [1.0, 0.5], "non-finite values: array([nan])"),
+        ("1e300*x1*1e300 + 1/x1", [1e-300, 1.0, 0.0], "non-finite values: array([inf])"),
+        ("1e300*x1*1e300 + 1/x1", [1e-300, 0.0, 1.0], "division by zero in '1.0 / x1'"),
+        ("x1 + ln(y1 - x1)", [0.0, 0.25, 0.5], "ln of non-positive value 0.0"),
+    ]
+
+    @pytest.mark.parametrize("text,column,first_bad", FAILURES)
+    def test_first_bad_row_matches_pointwise_loop(self, text, column, first_bad):
+        F = expression_map([parse_expression(text, 1)], -1.0, 1.0)
+        X = np.array(column)[:, None]
+        Y = np.full_like(X, 0.25)
+        _, want_error = pointwise(F, X, Y)
+        assert first_bad in want_error
+        _, got_error = stacked(F, X, Y)
+        assert got_error == want_error
+
+    @pytest.mark.parametrize("name", ["expr_2d.json", "expr_4d.json", "box_edge.json"])
+    def test_config_maps_match_tree_walk_bit_for_bit(self, name):
+        prob = load_problem(os.path.join(CONFIGS, name))
+        space, F = prob.space, prob.map
+        assert F.batched
+        walk = CoupledMap(F.name, F.dim, F.evaluator, F.lower, F.upper)  # one row per call
+
+        def terms(G):
+            s = sample_comparable_pairs(space, G, None, 2000, 5) + directed_pairs(space, G)
+            return [t.tobytes() for t in (s.image_distance, s.rational_term, s.distance_sum)]
+
+        assert terms(F) == terms(walk)
+        got = mixed_monotone_check(space, F, 1000, 5)
+        want = mixed_monotone_check(space, walk, 1000, 5)
+        assert (got.violations, got.worst_excess) == (want.violations, want.worst_excess)
+
+
+def _counting(counts, key, method):
+    def counted(self, *args):
+        counts[key] += 1
+        return method(self, *args)
+
+    return counted
+
+
+class TestWorkCounts:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"eval": 0, "eval_rows": 0}
+        for cls in NODES:
+            for key in counts:
+                monkeypatch.setattr(cls, key, _counting(counts, key, getattr(cls, key)))
+        return counts
+
+    def test_certify_makes_no_tree_walk(self, counts):
+        prob = load_problem(os.path.join(CONFIGS, "expr_4d.json"))
+        F = prob.map
+        calls = []
+
+        def evaluator(x, y):
+            calls.append(len(x))
+            return F.evaluator(x, y)
+
+        counted = CoupledMap(F.name, F.dim, evaluator, F.lower, F.upper, batched=F.batched)
+        n = 10_000
+        report = certify_region(
+            prob.space, counted, prob.suggested_params,
+            count=n, rng_seed=3, include_directed=False,
+        )
+        rows_per_block = max(1, BLOCK_FLOATS // F.dim)
+        assert report.sample_count == n
+        assert counts["eval"] == 0 and counts["eval_rows"] > 0
+        assert sum(calls) == 4 * n
+        assert len(calls) <= 4 * math.ceil(n / rows_per_block)
+
+    def test_single_evaluation_walks_the_tree(self, counts):
+        prob = load_problem(os.path.join(CONFIGS, "expr_4d.json"))
+        prob.map.evaluate(prob.seed.first, prob.seed.second)
+        assert counts["eval"] > 0 and counts["eval_rows"] == 0

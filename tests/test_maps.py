@@ -59,6 +59,18 @@ class TestEvalMap:
         with pytest.raises(InputError):
             CoupledMap("bad", 1, lambda x, y: x, lower=[1.0], upper=[0.0])
 
+    def test_box_edges_are_inside(self):
+        # center -/+ half width gives 1.0700000000000003 for this box's lower edge
+        F = CoupledMap("edge", 1, lambda x, y: x, lower=[1.07], upper=[2.29], batched=True)
+        edges = np.array([[1.07], [2.29]])
+        assert F.contains(edges[0]) and F.contains(edges[1])
+        assert F.evaluate_rows(edges, edges[::-1]).tolist() == [[1.07], [2.29]]
+        below = np.nextafter(1.07, 0.0)
+        assert not F.contains(np.array([below]))
+        assert F.contains(np.array([below]), padding=1.5)
+        with pytest.raises(DomainError, match="outside the domain box"):
+            F.evaluate_rows(np.array([[below]]), edges[:1])
+
 
 class TestRationalMinTerm:
     def test_zero_at_fixed_pair(self, linear):
