@@ -12,6 +12,7 @@ byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -273,6 +274,7 @@ def _cmd_list_builtins(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="coupledfp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -19,17 +19,16 @@ from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, InputError
-from .maps import ContractionParams, CoupledMap
-from .parallel import pmap
+from .errors import DimensionMismatchError, DivergenceError, DomainError, InputError
+from .maps import ContractionParams, CoupledMap, _images
 from .spaces import (
     Pair,
     SpaceDescriptor,
     as_point,
-    comparable,
     distance,
-    find_bridge,
     leq,
+    row_distances,
+    rows_leq,
 )
 
 # Iterates may drift past the strict domain box before divergence is called;
@@ -168,6 +167,26 @@ def _step(F: CoupledMap, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.n
     return x_next, y_next
 
 
+def _stop(worst_gap, ratio: float | None, tol: float):
+    """The stopping rule of `IterationConfig`, on a float or an array of them."""
+    if ratio is None:
+        return worst_gap <= tol
+    return worst_gap * ratio / (1.0 - ratio) <= tol
+
+
+def _final_residual(space: SpaceDescriptor, F: CoupledMap, x, y, tol: float) -> float:
+    """The verification residual of the last iterate, in the padded box."""
+    try:
+        _, residual = verify_coupled_fixed_point(
+            space, F, Pair(x, y), tol, padding=DIVERGENCE_PADDING
+        )
+    except DomainError as exc:
+        raise DivergenceError(
+            f"final iterate escaped the padded domain box: {exc}"
+        ) from exc
+    return residual
+
+
 def iterate(
     space: SpaceDescriptor,
     F: CoupledMap,
@@ -206,28 +225,16 @@ def iterate(
             trace.entries.append(TraceEntry(n, x, y, gap_x, gap_y, bound))
         x, y = x_next, y_next
         iterations = n + 1
-        worst_gap = max(gap_x, gap_y)
-        if ratio is None:
-            stopped = worst_gap <= config.tol
-        else:
-            stopped = worst_gap * ratio / (1.0 - ratio) <= config.tol
+        stopped = _stop(max(gap_x, gap_y), ratio, config.tol)
         if stopped:
             break
 
-    pair = Pair(x, y)
-    try:
-        ok, residual = verify_coupled_fixed_point(
-            space, F, pair, config.tol, padding=DIVERGENCE_PADDING
-        )
-    except DomainError as exc:
-        raise DivergenceError(
-            f"final iterate escaped the padded domain box: {exc}"
-        ) from exc
+    residual = _final_residual(space, F, x, y, config.tol)
     result = SolveResult(
-        fixed_pair=pair,
+        fixed_pair=Pair(x, y),
         iterations_used=iterations,
         final_residual=residual,
-        converged=stopped and ok,
+        converged=stopped and residual <= config.tol,
         seed_condition_held=seed_ok,
         components_equal=distance(space, x, y) <= 2.0 * config.tol,
     )
@@ -368,8 +375,32 @@ class UniquenessReport:
     tol: float
 
 
-def _pair_distance(space: SpaceDescriptor, a: Pair, b: Pair) -> float:
-    return max(distance(space, a.first, b.first), distance(space, a.second, b.second))
+def _step_each(
+    F: CoupledMap, live: np.ndarray, x: np.ndarray, y: np.ndarray, errors: list
+):
+    """One step of each live seed alone, as `iterate` takes it.
+
+    A seed that diverges gets its error message and leaves ``live``.
+    Returns the surviving seeds, their current rows and their images.
+    """
+    kept, images = [], []
+    for k, (xk, yk) in enumerate(zip(x, y)):
+        try:
+            images.append(_step(F, xk, yk))
+        except DivergenceError as exc:
+            errors[live[k]] = str(exc)
+        else:
+            kept.append(k)
+    x_next = np.array([a for a, _ in images]).reshape(-1, F.dim)
+    y_next = np.array([b for _, b in images]).reshape(-1, F.dim)
+    return live[kept], x[kept], y[kept], x_next, y_next
+
+
+def _rows_comparable(space: SpaceDescriptor, z1, z2, p1, p2) -> np.ndarray:
+    """`comparable` of the pairs (z1[k], z2[k]) and (p1[k], p2[k]), per row."""
+    below = rows_leq(space, z1, p1) & rows_leq(space, p2, z2)
+    above = rows_leq(space, p1, z1) & rows_leq(space, z2, p2)
+    return below | above
 
 
 def uniqueness_probe(
@@ -384,40 +415,94 @@ def uniqueness_probe(
     SolveResult); a diverging run is recorded per-seed without aborting the
     probe. For every pair of converged limits a bridge element is produced
     and checked for comparability with both.
+
+    All seeds iterate together as one (S, dim) stack: each step evaluates
+    the images of every seed still running in one `evaluate_rows` call, and
+    a seed stops on its own stopping rule. Each seed's result equals that
+    of `iterate` run from it alone, float for float. A stacked call that
+    fails is redone seed by seed, so a diverging seed records the message
+    its solo run would raise and the other seeds go on.
     """
     if not seeds:
         raise InputError("at least one seed is required")
+    config = config or IterationConfig()
+    tol = config.tol
+    ratio = config.params.ratio if config.params is not None else None
+    points = [(as_point(s.first, dim=F.dim), as_point(s.second, dim=F.dim)) for s in seeds]
+    X = np.array([x for x, _ in points])
+    Y = np.array([y for _, y in points])
+    if space.dim != F.dim:
+        raise DimensionMismatchError(
+            f"point of dimension {F.dim} in a space of dimension {space.dim}"
+        )
 
-    def run(seed: Pair) -> SeedRun:
+    try:
+        f_xy, f_yx = _images(F, [(X, Y), (Y, X)])
+        seed_ok = rows_leq(space, X, f_xy) & rows_leq(space, f_yx, Y)
+    except DomainError:
+        seed_ok = [check_seed_condition(space, F, x, y) for x, y in points]
+
+    errors: list[str | None] = [None] * len(seeds)
+    iterations = np.zeros(len(seeds), dtype=int)
+    stopped = np.zeros(len(seeds), dtype=bool)
+    live = np.arange(len(seeds))
+    for n in range(config.max_iter):
+        x, y = X[live], Y[live]
         try:
-            result, _ = iterate(space, F, seed.first, seed.second, config)
-            return SeedRun(seed, result, None)
-        except DivergenceError as exc:
-            return SeedRun(seed, None, str(exc))
+            x_next, y_next = _images(F, [(x, y), (y, x)], DIVERGENCE_PADDING)
+        except DomainError:
+            live, x, y, x_next, y_next = _step_each(F, live, x, y, errors)
+        gap = np.maximum(row_distances(space, x_next, x), row_distances(space, y_next, y))
+        X[live], Y[live] = x_next, y_next
+        iterations[live] = n + 1
+        stopped[live] = done = _stop(gap, ratio, tol)
+        live = live[~done]
+        if not live.size:
+            break
 
-    runs = pmap(run, list(seeds))
-    limits = [
-        (i, r.result.fixed_pair)
-        for i, r in enumerate(runs)
-        if r.result is not None and r.result.converged
-    ]
-    tol = (config or IterationConfig()).tol
-    max_dist: float | None = None
-    bridges: list[BridgeCheck] = []
-    for k, (i, pa) in enumerate(limits):
-        for j, pb in limits[k + 1 :]:
-            d = _pair_distance(space, pa, pb)
-            max_dist = d if max_dist is None else max(max_dist, d)
-            z = find_bridge(space, pa, pb)
-            bridges.append(
-                BridgeCheck(
-                    i, j, z, comparable(space, z, pa) and comparable(space, z, pb)
-                )
+    ran = np.flatnonzero([e is None for e in errors])
+    residual = np.zeros(len(seeds))
+    x, y = X[ran], Y[ran]
+    try:
+        f_xy, f_yx = _images(F, [(x, y), (y, x)], DIVERGENCE_PADDING)
+        residual[ran] = np.maximum(row_distances(space, f_xy, x), row_distances(space, f_yx, y))
+    except DomainError:
+        for k in ran:
+            try:
+                residual[k] = _final_residual(space, F, X[k], Y[k], tol)
+            except DivergenceError as exc:
+                errors[k] = str(exc)
+    components_equal = row_distances(space, X, Y) <= 2.0 * tol
+
+    runs = []
+    for k, seed in enumerate(seeds):
+        result = None
+        if errors[k] is None:
+            result = SolveResult(
+                fixed_pair=Pair(X[k].copy(), Y[k].copy()),
+                iterations_used=int(iterations[k]),
+                final_residual=float(residual[k]),
+                converged=bool(stopped[k] and residual[k] <= tol),
+                seed_condition_held=bool(seed_ok[k]),
+                components_equal=bool(components_equal[k]),
             )
-    all_converged = all(r.result is not None and r.result.converged for r in runs)
-    agree = all_converged and (max_dist is None or max_dist <= 2.0 * tol)
+        runs.append(SeedRun(seed, result, errors[k]))
+
+    limits = np.flatnonzero([r.result is not None and r.result.converged for r in runs])
+    a, b = (limits[t] for t in np.triu_indices(len(limits), k=1))
+    dist = np.maximum(row_distances(space, X[a], X[b]), row_distances(space, Y[a], Y[b]))
+    max_dist = float(dist.max()) if dist.size else None
+    z1, z2 = np.maximum(X[a], X[b]), np.minimum(Y[a], Y[b])
+    both = _rows_comparable(space, z1, z2, X[a], Y[a]) & _rows_comparable(
+        space, z1, z2, X[b], Y[b]
+    )
+    bridges = [
+        BridgeCheck(int(i), int(j), Pair(p, q), bool(ok))
+        for i, j, p, q, ok in zip(a, b, z1, z2, both)
+    ]
+    agree = len(limits) == len(runs) and (max_dist is None or max_dist <= 2.0 * tol)
     return UniquenessReport(
-        runs=list(runs),
+        runs=runs,
         max_pairwise_distance=max_dist,
         all_agree=agree,
         bridges=bridges,

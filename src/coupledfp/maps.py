@@ -116,8 +116,13 @@ class CoupledMap:
         Each side moves out by (padding - 1) / 2 of the box width, so with
         the default padding the bounds are exactly ``lower`` and ``upper``.
         """
+        lo, hi = self._bounds(padding)
+        return bool(np.all(p >= lo) and np.all(p <= hi))
+
+    def _bounds(self, padding: float) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper corner of the box inflated by ``padding``."""
         grow = 0.5 * (padding - 1.0) * (self.upper - self.lower)
-        return bool(np.all(p >= self.lower - grow) and np.all(p <= self.upper + grow))
+        return self.lower - grow, self.upper + grow
 
     def _check_args(self, x, y, padding: float) -> tuple[np.ndarray, np.ndarray]:
         x = as_point(x, dim=self.dim)
@@ -158,12 +163,13 @@ class CoupledMap:
         x, y = self._check_args(x, y, padding)
         return self._check_image(self.evaluator(x, y))
 
-    def evaluate_rows(self, X, Y) -> np.ndarray:
+    def evaluate_rows(self, X, Y, padding: float = 1.0) -> np.ndarray:
         """F(X[k], Y[k]) for each row k of two (n, dim) stacks, as a stack.
 
-        Makes `evaluate`'s checks (finite arguments in the box, image shape,
-        finite image) as array operations. A failure names the first bad
-        row, with the message `evaluate` gives for that row.
+        Makes `evaluate`'s checks (finite arguments in the box inflated by
+        ``padding``, image shape, finite image) as array operations. A
+        failure names the first bad row, with the message `evaluate` gives
+        for that row.
         """
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
@@ -171,7 +177,7 @@ class CoupledMap:
             raise DimensionMismatchError(
                 f"expected two (n, {self.dim}) stacks, got {X.shape} and {Y.shape}"
             )
-        lo, hi = self.lower, self.upper
+        lo, hi = self._bounds(padding)
         inside = np.all((X >= lo) & (X <= hi), axis=1) & np.all((Y >= lo) & (Y <= hi), axis=1)
         good = len(X) if inside.all() else int(np.argmin(inside))
         if self.batched:
@@ -181,7 +187,7 @@ class CoupledMap:
             for k in range(good):
                 out[k] = self._check_image(self.evaluator(X[k], Y[k]))
         if good < len(X):
-            self._check_args(X[good], Y[good], 1.0)  # raises for this row
+            self._check_args(X[good], Y[good], padding)  # raises for this row
         return out
 
 
@@ -196,15 +202,15 @@ def _sample_blocks(n: int, dim: int, images: int):
     return ((lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
-def _images(F: CoupledMap, args) -> list[np.ndarray]:
+def _images(F: CoupledMap, args, padding: float = 1.0) -> list[np.ndarray]:
     """F at each (first, second) pair of row stacks, in one checked call.
 
     The stacks are interleaved row by row, so a failure names the same row
     that evaluating each sample's images in turn would have failed on.
     """
-    first = np.stack([p for p, _ in args], axis=1).reshape(-1, F.dim)
-    second = np.stack([q for _, q in args], axis=1).reshape(-1, F.dim)
-    out = F.evaluate_rows(first, second).reshape(-1, len(args), F.dim)
+    first = np.concatenate([p for p, _ in args], axis=1).reshape(-1, F.dim)
+    second = np.concatenate([q for _, q in args], axis=1).reshape(-1, F.dim)
+    out = F.evaluate_rows(first, second, padding).reshape(-1, len(args), F.dim)
     return [out[:, j] for j in range(len(args))]
 
 

@@ -1,4 +1,10 @@
-"""Thread-pool plumbing capped by the COUPLED_FP_THREADS environment variable."""
+"""Thread-pool plumbing capped by the COUPLED_FP_THREADS environment variable.
+
+No library code uses this module: sampling and the uniqueness probe are
+vectorized. It is kept only because the benchmark's tracer
+(`bench/tracer.py`) imports it and wraps `pmap` and `worker_cap`; it goes
+with the next change to the benchmark.
+"""
 
 from __future__ import annotations
 

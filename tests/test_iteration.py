@@ -1,13 +1,16 @@
 import io
 import math
+import os
 
 import numpy as np
 import pytest
 
+from coupledfp import iteration
 from coupledfp import (
     ContractionParams,
     CoupledMap,
     DivergenceError,
+    DomainError,
     InputError,
     IterationConfig,
     Pair,
@@ -16,13 +19,63 @@ from coupledfp import (
     apriori_iteration_count,
     check_monotone_chain,
     check_seed_condition,
+    comparable,
+    distance,
+    find_bridge,
+    get_builtin,
     iterate,
     leq,
+    load_problem,
     uniqueness_probe,
     verify_coupled_fixed_point,
 )
 
 PARAMS_LINEAR = ContractionParams(0.1, 0.5)
+CONFIGS = os.path.join(os.path.dirname(__file__), "data", "configs")
+
+
+def probe_seeds(problem, count, rng_seed=0):
+    """The problem's seed and count - 1 seeds drawn in its box, as the CLI draws them."""
+    rng = np.random.default_rng(rng_seed)
+    draws = rng.uniform(problem.map.lower, problem.map.upper, (count - 1, 2, problem.space.dim))
+    return [problem.seed] + [Pair(x, y) for x, y in draws]
+
+
+def assert_runs_match_solo(space, F, seeds, config):
+    """Each probe run equals `iterate` from its seed alone, bit for bit."""
+    report = uniqueness_probe(space, F, seeds, config)
+    assert len(report.runs) == len(seeds)
+    for run, seed in zip(report.runs, seeds):
+        assert run.seed is seed
+        try:
+            solo, _ = iterate(space, F, seed.first, seed.second, config)
+        except DivergenceError as exc:
+            assert (run.result, run.error) == (None, str(exc))
+            continue
+        assert run.error is None
+        got = run.result
+        assert got.fixed_pair.first.tobytes() == solo.fixed_pair.first.tobytes()
+        assert got.fixed_pair.second.tobytes() == solo.fixed_pair.second.tobytes()
+        for name in ("iterations_used", "final_residual", "converged",
+                     "seed_condition_held", "components_equal"):
+            assert getattr(got, name) == getattr(solo, name), name
+            assert type(getattr(got, name)) is type(getattr(solo, name)), name
+
+    limits = [(i, r.result.fixed_pair) for i, r in enumerate(report.runs)
+              if r.result is not None and r.result.converged]
+    distances, bridges = [], []
+    for k, (i, a) in enumerate(limits):
+        for j, b in limits[k + 1 :]:
+            distances.append(max(distance(space, a.first, b.first),
+                                 distance(space, a.second, b.second)))
+            z = find_bridge(space, a, b)
+            bridges.append((i, j, z.first.tobytes(), z.second.tobytes(),
+                            comparable(space, z, a) and comparable(space, z, b)))
+    assert report.max_pairwise_distance == (max(distances) if distances else None)
+    assert bridges == [(b.index_a, b.index_b, b.bridge.first.tobytes(),
+                        b.bridge.second.tobytes(), b.comparable_to_both)
+                       for b in report.bridges]
+    return report
 
 
 class TestSeedCondition:
@@ -287,6 +340,84 @@ class TestUniquenessProbe:
         )
         assert report.runs[0].error is not None
         assert not report.all_agree
+
+    @pytest.mark.parametrize("with_params", [False, True])
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            lambda: get_builtin("linear_demo"),
+            lambda: get_builtin("affine_demo"),
+            lambda: load_problem(os.path.join(CONFIGS, "integral_16.json")),
+            lambda: load_problem(os.path.join(CONFIGS, "expr_4d.json")),
+        ],
+        ids=["linear_demo", "affine_demo", "integral_16", "expr_4d"],
+    )
+    def test_runs_equal_solo_iterate(self, problem, with_params):
+        problem = problem()
+        params = problem.suggested_params if with_params else None
+        config = IterationConfig(max_iter=200, tol=1e-10, params=params)
+        assert_runs_match_solo(problem.space, problem.map, probe_seeds(problem, 8), config)
+
+    @pytest.mark.parametrize("params", [None, PARAMS_LINEAR])
+    def test_mixed_batch_equals_solo_iterate(self, params):
+        space = SpaceDescriptor(dim=1)
+        F = CoupledMap("double", 1, lambda x, y: 2.0 * x + 0.5, [-1.0], [1.0])
+        seeds = [
+            Pair([-0.5], [-0.5]),  # the fixed pair
+            Pair([0.5], [0.5]),  # leaves the padded box on step 2
+            Pair([-0.5 + 3e-6], [-0.5]),  # its last iterate is outside the padded box
+            Pair([-0.5 + 1e-7], [-0.5 - 1e-7]),  # drifts until max_iter
+            Pair([-0.5], [-0.5]),
+        ]
+        config = IterationConfig(max_iter=20, tol=1e-8, params=params)
+        report = assert_runs_match_solo(space, F, seeds, config)
+        assert "iteration escaped" in report.runs[1].error
+        assert "final iterate escaped" in report.runs[2].error
+        assert not report.runs[3].result.converged
+        assert not report.all_agree
+        assert [(b.index_a, b.index_b) for b in report.bridges] == [(0, 4)]
+
+        outside = Pair([1.5], [-1.25])
+        with pytest.raises(DomainError) as solo:
+            iterate(space, F, outside.first, outside.second, config)
+        with pytest.raises(DomainError) as probe:
+            uniqueness_probe(space, F, seeds + [outside], config)
+        assert str(probe.value) == str(solo.value)
+
+    def test_seed_whose_swapped_image_fails(self):
+        # x0 <= F(x0, y0) fails, so the seed check never evaluates F(y0, x0),
+        # which raises; the first step then diverges on it.
+        def halve(x, y):
+            if y[0] > 0.9:
+                raise DomainError("second argument above 0.9")
+            return 0.5 * x
+
+        space = SpaceDescriptor(dim=1)
+        F = CoupledMap("halve", 1, halve, [-1.0], [1.0])
+        seeds = [Pair([0.5], [0.0]), Pair([0.95], [0.0]), Pair([0.0], [0.5])]
+        report = assert_runs_match_solo(space, F, seeds, IterationConfig(tol=1e-8))
+        assert report.runs[1].error.endswith("second argument above 0.9")
+
+    @pytest.mark.parametrize("count", [1, 2, 8, 40])
+    def test_one_stacked_call_per_step(self, linear, monkeypatch, count):
+        calls = {"evaluate_rows": 0, "evaluate": 0, "iterate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("evaluate_rows", "evaluate"):
+            monkeypatch.setattr(CoupledMap, name, counted(name, getattr(CoupledMap, name)))
+        monkeypatch.setattr(iteration, "iterate", counted("iterate", iteration.iterate))
+        config = IterationConfig(max_iter=200, tol=1e-10, params=PARAMS_LINEAR)
+        report = uniqueness_probe(linear.space, linear.map, probe_seeds(linear, count), config)
+        assert report.all_agree
+        steps = max(r.result.iterations_used for r in report.runs)
+        assert calls["evaluate_rows"] <= steps + 2
+        assert calls["evaluate"] == calls["iterate"] == 0
 
     def test_needs_a_seed(self, linear):
         with pytest.raises(InputError):

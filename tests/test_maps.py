@@ -72,6 +72,33 @@ class TestEvalMap:
             F.evaluate_rows(np.array([[below]]), edges[:1])
 
 
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_padded_edges_match_evaluate(self, batched):
+        F = CoupledMap("edge", 1, lambda x, y: x - 0.5 * y, [1.07], [2.29], batched=batched)
+        grow = 0.5 * (2.0 - 1.0) * (2.29 - 1.07)
+        values = [1.0]  # inside the padded box only
+        for edge in (1.07 - grow, 2.29 + grow):
+            values += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+        rows = np.array([[x, y] for x in values for y in values])
+        X, Y = rows[:, :1], rows[:, 1:]
+
+        def outcome(call):
+            try:
+                return call().tolist()
+            except DomainError as exc:
+                return str(exc)
+
+        expected = [outcome(lambda: F.evaluate(x, y, padding=2.0)) for x, y in zip(X, Y)]
+        got = [outcome(lambda: F.evaluate_rows(X[k : k + 1], Y[k : k + 1], padding=2.0)[0])
+               for k in range(len(X))]
+        assert got == expected
+        assert 0 < sum(isinstance(e, str) for e in expected) < len(expected)
+        first_bad = next(e for e in expected if isinstance(e, str))
+        with pytest.raises(DomainError) as exc:
+            F.evaluate_rows(X, Y, padding=2.0)
+        assert str(exc.value) == first_bad
+
+
 class TestRationalMinTerm:
     def test_zero_at_fixed_pair(self, linear):
         assert rational_min_term(SPACE1, linear.map, pair(0, 0), pair(0, 0)) == 0.0
