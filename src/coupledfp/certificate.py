@@ -235,13 +235,18 @@ class CertificateReport:
         }
 
 
-def _terms(samples: SampleSet | list[SamplePair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """image_distance, rational_term and distance_sum arrays of a sample set or list."""
+def _as_sample_set(samples: SampleSet | list[SamplePair]) -> SampleSet:
+    """A list of SamplePair as a SampleSet of its cached terms; a SampleSet as it is."""
     if isinstance(samples, SampleSet):
-        return samples.image_distance, samples.rational_term, samples.distance_sum
-    return tuple(
-        np.array([getattr(s, name) for s in samples], dtype=float)
-        for name in ("image_distance", "rational_term", "distance_sum")
+        return samples
+    stacks = zip(*((s.a.first, s.a.second, s.b.first, s.b.second) for s in samples))
+    parts = (tuple(np.array(stack) for stack in stacks),) if samples else ()
+    return SampleSet(
+        parts,
+        *(
+            np.array([getattr(s, name) for s in samples], dtype=float)
+            for name in ("image_distance", "rational_term", "distance_sum")
+        ),
     )
 
 
@@ -253,7 +258,8 @@ def evaluate_samples(
     Aggregation is a count and a min, so it is order independent; the worst
     pair is the first sample with the least margin.
     """
-    margins = params.margin(*_terms(samples))
+    samples = _as_sample_set(samples)
+    margins = params.margin(samples.image_distance, samples.rational_term, samples.distance_sum)
     if len(margins):
         worst_idx = int(np.argmin(margins))
         worst_margin: float | None = float(margins[worst_idx])
@@ -321,9 +327,7 @@ class ParamEstimate:
         }
 
 
-def _alpha_interval(
-    r: float, image_distance: np.ndarray, rational_term: np.ndarray, distance_sum: np.ndarray
-) -> tuple[float, float]:
+def _alpha_interval(r: float, samples: SampleSet) -> tuple[float, float]:
     """Feasible alpha interval at fixed ratio r (empty when lo > hi).
 
     Substituting beta = r * (1 - alpha) turns each sample constraint into
@@ -332,8 +336,8 @@ def _alpha_interval(
     form a half-line; the feasible set is the intersection over samples,
     clipped to [0, 1).
     """
-    slope = rational_term - 0.5 * r * distance_sum
-    offset = image_distance - 0.5 * r * distance_sum
+    slope = samples.rational_term - 0.5 * r * samples.distance_sum
+    offset = samples.image_distance - 0.5 * r * samples.distance_sum
     lo, hi = 0.0, 1.0 - ALPHA_INSET
     pos = slope > 0
     neg = slope < 0
@@ -358,10 +362,10 @@ def estimate_params(samples: SampleSet | list[SamplePair]) -> ParamEstimate:
     """
     if not len(samples):
         raise InputError("estimate_params needs at least one sample")
-    image_distance, rational_term, distance_sum = _terms(samples)
+    samples = _as_sample_set(samples)
 
     def feasible(r: float) -> bool:
-        lo, hi = _alpha_interval(r, image_distance, rational_term, distance_sum)
+        lo, hi = _alpha_interval(r, samples)
         return lo <= hi
 
     r_hi = 1.0 - RATIO_TOL
@@ -376,7 +380,7 @@ def estimate_params(samples: SampleSet | list[SamplePair]) -> ParamEstimate:
             r_lo = mid
 
     r_star = max(r_hi, RATIO_TOL)  # beta must stay positive
-    lo, hi = _alpha_interval(r_star, image_distance, rational_term, distance_sum)
+    lo, hi = _alpha_interval(r_star, samples)
     alpha = min(hi, lo + ALPHA_INSET) if lo > 0 else lo
     beta = r_star * (1.0 - alpha)
     return ParamEstimate(True, r_star, float(alpha), float(beta), len(samples))

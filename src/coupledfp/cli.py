@@ -136,7 +136,7 @@ def _cmd_certify(args) -> int:
         f"samples evaluated: {report.sample_count}",
         f"violations: {report.violations}",
     ]
-    if report.worst_margin is not None:
+    if report.worst_margin is not None and not args.json:
         lines.append(f"worst margin: {_fmt(report.worst_margin)}")
         worst = report.min_margin_pair
         lines.append(
@@ -235,15 +235,14 @@ def _cmd_probe_uniqueness(args) -> int:
         ],
     }
     lines = [f"problem: {problem.name}", f"seeds probed: {len(seeds)}"]
-    for r in report.runs:
+    for r in report.runs if not args.json else ():  # --json prints no coordinates
+        seed = f"  seed {_vec(r.seed.first)}/{_vec(r.seed.second)}"
         if r.error is not None:
-            lines.append(f"  seed {_vec(r.seed.first)}/{_vec(r.seed.second)}: DIVERGED")
+            lines.append(f"{seed}: DIVERGED")
         else:
             state = "converged" if r.result.converged else "did not converge"
             flag = "" if r.result.seed_condition_held else " [seed condition failed]"
-            lines.append(
-                f"  seed {_vec(r.seed.first)}/{_vec(r.seed.second)}: {state}{flag}"
-            )
+            lines.append(f"{seed}: {state}{flag}")
     if report.max_pairwise_distance is not None:
         lines.append(f"max pairwise limit distance: {_fmt(report.max_pairwise_distance)}")
     lines.append(

@@ -16,10 +16,11 @@ overflow instead of letting NaNs propagate.
 Every node evaluates two ways, with the same floats:
 
 * ``eval`` walks the tree once for one row (two 1-D arrays), on Python
-  floats. One-row calls (iteration steps, the seed check) use it: on a
-  4-D map with a dozen function calls the tree walk takes about 15 us,
-  a stacked call on one row about 120 us, and about 1 us per row on a
-  stack of 16k rows (one core of a 2-core x86-64 VM, numpy 2.4).
+  floats. One-row calls and stacks of at most WALK_ROWS rows (iteration
+  steps, the seed check) use it: on a 4-D map with a dozen function calls
+  the tree walk takes about 20-30 us per row, a stacked call about
+  110-170 us on up to 8 rows, and about 1 us per row on a stack of 16k
+  rows (one core of a 2-core x86-64 VM, numpy 2.4).
 * ``eval_rows`` evaluates two (n, dim) row stacks at once and returns an
   (n,) column. ``+ - * /``, negation, ``abs`` and ``sqrt`` are numpy ufuncs,
   which round exactly as the same operations on Python floats. ``exp``,
@@ -28,7 +29,7 @@ Every node evaluates two ways, with the same floats:
   ``np.arctan`` differ from them in the last bit on 4.6%, 0.10% and 0.14%
   (``np.sqrt`` on none), which would change printed margins.
 
-`evaluate_components` picks between them by the arguments' shape. When a
+`evaluate_components` picks between them by the number of rows. When a
 domain guard trips anywhere in a stack, it re-runs the stack row by row with
 the tree walk, so the first bad row fails with the tree walk's message.
 """
@@ -51,6 +52,12 @@ _VARIABLE_RE = re.compile(r"([xy])([0-9]+)\Z")
 
 # precedence levels used when inserting parentheses on serialization
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_ATOM = 1, 2, 3, 4
+
+# Stacks of at most this many rows take the row-by-row tree walk. The walk
+# and a stacked call cost the same at 3 to 6 rows on the shipped expression
+# configs (1-D ln, 2-D and 4-D; one core of a 2-core x86-64 VM, numpy 2.4),
+# and a one-seed iteration step is a 2-row stack.
+WALK_ROWS = 4
 
 
 class _GuardTripped(Exception):
@@ -366,19 +373,20 @@ def evaluate_components(exprs: list[Expression], x: np.ndarray, y: np.ndarray) -
 
     For 1-D x, y returns the (len(exprs),) image by the tree walk. For two
     (n, dim) stacks returns the (n, len(exprs)) stack of images, row k equal
-    bit for bit to the 1-D call on row k. If a guard trips on any row, the
-    stack is evaluated again row by row with the tree walk: the first row
-    that raises raises its DomainError, and the stack returned stops after
-    the first row with a non-finite image (later rows are NaN), so that the
-    caller's finiteness check names that row.
+    bit for bit to the 1-D call on row k. A stack of at most WALK_ROWS rows,
+    or one on which a guard trips, is evaluated row by row with the tree
+    walk: the first row that raises raises its DomainError, and the stack
+    returned stops after the first row with a non-finite image (later rows
+    are NaN), so that the caller's finiteness check names that row.
     """
     if x.ndim == 1:
         return np.array([e.eval(x, y) for e in exprs])
-    try:
-        with np.errstate(all="ignore"):  # overflow to inf, as on Python floats
-            return np.stack([e.eval_rows(x, y) for e in exprs], axis=1)
-    except _GuardTripped:
-        pass
+    if len(x) > WALK_ROWS:
+        try:
+            with np.errstate(all="ignore"):  # overflow to inf, as on Python floats
+                return np.stack([e.eval_rows(x, y) for e in exprs], axis=1)
+        except _GuardTripped:
+            pass
     out = np.full((len(x), len(exprs)), np.nan)
     for k in range(len(x)):
         out[k] = [e.eval(x[k], y[k]) for e in exprs]

@@ -9,6 +9,11 @@ r = beta / (1 - alpha), consecutive gaps obey the geometric bound
 r^n * D0 with D0 the mean of the first two gaps. This module runs the
 iteration, checks the seed condition, verifies the resulting pair, audits
 the monotone chain structure, and probes uniqueness from several seeds.
+
+There is one iteration loop, `_run`, which steps a stack of seeds with one
+`CoupledMap.evaluate_rows` call per step. `iterate` (and so `solve`) is its
+one-seed run; `uniqueness_probe` runs it on all seeds at once, so each probe
+run equals `iterate` from its seed alone, float for float.
 """
 
 from __future__ import annotations
@@ -158,33 +163,105 @@ def verify_coupled_fixed_point(
     return residual <= tol, residual
 
 
-def _step(F: CoupledMap, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _padded_images(F: CoupledMap, live: np.ndarray, X, Y, errors: list, what: str):
+    """F(x, y) and F(y, x) in the padded box, for x = X[live] and y = Y[live].
+
+    One stacked call. If it raises DomainError, each seed is redone as its
+    own call: a seed whose call fails gets a DivergenceError saying that its
+    ``what`` escaped the padded box, chained from the DomainError, and is
+    dropped. Returns the seeds kept, their rows x, y and the two images.
+    """
+    x, y = X[live], Y[live]
     try:
-        x_next = F.evaluate(x, y, padding=DIVERGENCE_PADDING)
-        y_next = F.evaluate(y, x, padding=DIVERGENCE_PADDING)
-    except DomainError as exc:
-        raise DivergenceError(f"iteration escaped the padded domain box: {exc}") from exc
-    return x_next, y_next
+        return (live, x, y, *_images(F, [(x, y), (y, x)], DIVERGENCE_PADDING))
+    except DomainError:
+        pass
+    kept, images = [], []
+    for k in range(len(live)):
+        xk, yk = x[k : k + 1], y[k : k + 1]
+        try:
+            images.append(_images(F, [(xk, yk), (yk, xk)], DIVERGENCE_PADDING))
+        except DomainError as exc:
+            error = DivergenceError(f"{what} escaped the padded domain box: {exc}")
+            error.__cause__ = exc
+            errors[live[k]] = error
+        else:
+            kept.append(k)
+    f_xy, f_yx = (np.array([pair[j][0] for pair in images]).reshape(-1, F.dim) for j in (0, 1))
+    return live[kept], x[kept], y[kept], f_xy, f_yx
 
 
-def _stop(worst_gap, ratio: float | None, tol: float):
-    """The stopping rule of `IterationConfig`, on a float or an array of them."""
-    if ratio is None:
-        return worst_gap <= tol
-    return worst_gap * ratio / (1.0 - ratio) <= tol
+def _run(
+    space: SpaceDescriptor,
+    F: CoupledMap,
+    seeds: Sequence,
+    config: IterationConfig,
+    trace: IterationTrace | None = None,
+) -> tuple[list[SolveResult | None], list[DivergenceError | None]]:
+    """The coupled iteration from every (x0, y0) in ``seeds``, as one stack.
 
-
-def _final_residual(space: SpaceDescriptor, F: CoupledMap, x, y, tol: float) -> float:
-    """The verification residual of the last iterate, in the padded box."""
-    try:
-        _, residual = verify_coupled_fixed_point(
-            space, F, Pair(x, y), tol, padding=DIVERGENCE_PADDING
+    All S seeds iterate together as one (S, dim) stack: each step evaluates
+    the images of every seed still running in one `evaluate_rows` call, and
+    each seed stops on its own stopping rule and is then frozen. Returns one
+    SolveResult or None per seed and, for a seed that diverged, the
+    DivergenceError its run raised. A seed check that fails is redone seed
+    by seed with `check_seed_condition`, whose DomainError for a seed outside
+    the box propagates. ``trace`` records the steps of a one-seed run.
+    """
+    tol = config.tol
+    ratio = config.params.ratio if config.params is not None else None
+    points = [(as_point(x0, dim=F.dim), as_point(y0, dim=F.dim)) for x0, y0 in seeds]
+    X = np.array([x for x, _ in points])
+    Y = np.array([y for _, y in points])
+    if space.dim != F.dim:
+        raise DimensionMismatchError(
+            f"point of dimension {F.dim} in a space of dimension {space.dim}"
         )
-    except DomainError as exc:
-        raise DivergenceError(
-            f"final iterate escaped the padded domain box: {exc}"
-        ) from exc
-    return residual
+
+    try:
+        f_xy, f_yx = _images(F, [(X, Y), (Y, X)])
+        seed_ok = rows_leq(space, X, f_xy) & rows_leq(space, f_yx, Y)
+    except DomainError:
+        seed_ok = [check_seed_condition(space, F, x, y) for x, y in points]
+
+    errors: list[DivergenceError | None] = [None] * len(seeds)
+    iterations = np.zeros(len(seeds), dtype=int)
+    stopped = np.zeros(len(seeds), dtype=bool)
+    live = np.arange(len(seeds))
+    for n in range(config.max_iter):
+        live, x, y, x_next, y_next = _padded_images(F, live, X, Y, errors, "iteration")
+        gap_x, gap_y = row_distances(space, x_next, x), row_distances(space, y_next, y)
+        if trace is not None and live.size:
+            gap_x0, gap_y0 = float(gap_x[0]), float(gap_y[0])
+            if n == 0:
+                base_gap = 0.5 * (gap_x0 + gap_y0)
+            bound = None if ratio is None else ratio**n * base_gap
+            trace.entries.append(TraceEntry(n, x[0], y[0], gap_x0, gap_y0, bound))
+        X[live], Y[live] = x_next, y_next
+        iterations[live] = n + 1
+        worst_gap = np.maximum(gap_x, gap_y)
+        # The stopping rule of IterationConfig.
+        tail = worst_gap if ratio is None else worst_gap * ratio / (1.0 - ratio)
+        stopped[live] = done = tail <= tol
+        live = live[~done]
+        if not live.size:
+            break
+
+    ran = np.flatnonzero([e is None for e in errors])
+    ran, x, y, f_xy, f_yx = _padded_images(F, ran, X, Y, errors, "final iterate")
+    residual = np.maximum(row_distances(space, f_xy, x), row_distances(space, f_yx, y))
+    components_equal = row_distances(space, x, y) <= 2.0 * tol
+    results: list[SolveResult | None] = [None] * len(seeds)
+    for i, k in enumerate(ran):
+        results[k] = SolveResult(
+            fixed_pair=Pair(x[i], y[i]),
+            iterations_used=int(iterations[k]),
+            final_residual=float(residual[i]),
+            converged=bool(stopped[k] and residual[i] <= tol),
+            seed_condition_held=bool(seed_ok[k]),
+            components_equal=bool(components_equal[i]),
+        )
+    return results, errors
 
 
 def iterate(
@@ -200,44 +277,16 @@ def iterate(
     flagged in the result and the iteration proceeds anyway. Divergence
     (non-finite values or escape from the padded box) raises
     :class:`DivergenceError`. Deterministic: identical inputs give
-    identical traces.
+    identical traces. This is the one-seed run of the loop that
+    `uniqueness_probe` runs on all its seeds at once.
     """
     config = config or IterationConfig()
-    x = as_point(x0, dim=F.dim)
-    y = as_point(y0, dim=F.dim)
-    seed_ok = check_seed_condition(space, F, x, y)
-
-    params = config.params
-    ratio = params.ratio if params is not None else None
     trace = IterationTrace()
-    base_gap: float | None = None
-    stopped = False
-    iterations = 0
-
-    for n in range(config.max_iter):
-        x_next, y_next = _step(F, x, y)
-        gap_x = distance(space, x_next, x)
-        gap_y = distance(space, y_next, y)
-        if base_gap is None:
-            base_gap = 0.5 * (gap_x + gap_y)
-        bound = None if ratio is None else ratio**n * base_gap
-        if config.record_trace:
-            trace.entries.append(TraceEntry(n, x, y, gap_x, gap_y, bound))
-        x, y = x_next, y_next
-        iterations = n + 1
-        stopped = _stop(max(gap_x, gap_y), ratio, config.tol)
-        if stopped:
-            break
-
-    residual = _final_residual(space, F, x, y, config.tol)
-    result = SolveResult(
-        fixed_pair=Pair(x, y),
-        iterations_used=iterations,
-        final_residual=residual,
-        converged=stopped and residual <= config.tol,
-        seed_condition_held=seed_ok,
-        components_equal=distance(space, x, y) <= 2.0 * config.tol,
+    (result,), (error,) = _run(
+        space, F, [(x0, y0)], config, trace if config.record_trace else None
     )
+    if error is not None:
+        raise error
     return result, trace
 
 
@@ -375,27 +424,6 @@ class UniquenessReport:
     tol: float
 
 
-def _step_each(
-    F: CoupledMap, live: np.ndarray, x: np.ndarray, y: np.ndarray, errors: list
-):
-    """One step of each live seed alone, as `iterate` takes it.
-
-    A seed that diverges gets its error message and leaves ``live``.
-    Returns the surviving seeds, their current rows and their images.
-    """
-    kept, images = [], []
-    for k, (xk, yk) in enumerate(zip(x, y)):
-        try:
-            images.append(_step(F, xk, yk))
-        except DivergenceError as exc:
-            errors[live[k]] = str(exc)
-        else:
-            kept.append(k)
-    x_next = np.array([a for a, _ in images]).reshape(-1, F.dim)
-    y_next = np.array([b for _, b in images]).reshape(-1, F.dim)
-    return live[kept], x[kept], y[kept], x_next, y_next
-
-
 def _rows_comparable(space: SpaceDescriptor, z1, z2, p1, p2) -> np.ndarray:
     """`comparable` of the pairs (z1[k], z2[k]) and (p1[k], p2[k]), per row."""
     below = rows_leq(space, z1, p1) & rows_leq(space, p2, z2)
@@ -416,80 +444,26 @@ def uniqueness_probe(
     probe. For every pair of converged limits a bridge element is produced
     and checked for comparability with both.
 
-    All seeds iterate together as one (S, dim) stack: each step evaluates
-    the images of every seed still running in one `evaluate_rows` call, and
-    a seed stops on its own stopping rule. Each seed's result equals that
-    of `iterate` run from it alone, float for float. A stacked call that
-    fails is redone seed by seed, so a diverging seed records the message
-    its solo run would raise and the other seeds go on.
+    All seeds iterate together in the loop `iterate` runs on one seed, so
+    each seed's result equals that of `iterate` run from it alone, float for
+    float. A stacked call that fails is redone seed by seed, so a diverging
+    seed records the message its solo run would raise and the other seeds
+    go on.
     """
     if not seeds:
         raise InputError("at least one seed is required")
     config = config or IterationConfig()
     tol = config.tol
-    ratio = config.params.ratio if config.params is not None else None
-    points = [(as_point(s.first, dim=F.dim), as_point(s.second, dim=F.dim)) for s in seeds]
-    X = np.array([x for x, _ in points])
-    Y = np.array([y for _, y in points])
-    if space.dim != F.dim:
-        raise DimensionMismatchError(
-            f"point of dimension {F.dim} in a space of dimension {space.dim}"
-        )
+    results, errors = _run(space, F, [(s.first, s.second) for s in seeds], config)
+    runs = [
+        SeedRun(seed, result, None if error is None else str(error))
+        for seed, result, error in zip(seeds, results, errors)
+    ]
 
-    try:
-        f_xy, f_yx = _images(F, [(X, Y), (Y, X)])
-        seed_ok = rows_leq(space, X, f_xy) & rows_leq(space, f_yx, Y)
-    except DomainError:
-        seed_ok = [check_seed_condition(space, F, x, y) for x, y in points]
-
-    errors: list[str | None] = [None] * len(seeds)
-    iterations = np.zeros(len(seeds), dtype=int)
-    stopped = np.zeros(len(seeds), dtype=bool)
-    live = np.arange(len(seeds))
-    for n in range(config.max_iter):
-        x, y = X[live], Y[live]
-        try:
-            x_next, y_next = _images(F, [(x, y), (y, x)], DIVERGENCE_PADDING)
-        except DomainError:
-            live, x, y, x_next, y_next = _step_each(F, live, x, y, errors)
-        gap = np.maximum(row_distances(space, x_next, x), row_distances(space, y_next, y))
-        X[live], Y[live] = x_next, y_next
-        iterations[live] = n + 1
-        stopped[live] = done = _stop(gap, ratio, tol)
-        live = live[~done]
-        if not live.size:
-            break
-
-    ran = np.flatnonzero([e is None for e in errors])
-    residual = np.zeros(len(seeds))
-    x, y = X[ran], Y[ran]
-    try:
-        f_xy, f_yx = _images(F, [(x, y), (y, x)], DIVERGENCE_PADDING)
-        residual[ran] = np.maximum(row_distances(space, f_xy, x), row_distances(space, f_yx, y))
-    except DomainError:
-        for k in ran:
-            try:
-                residual[k] = _final_residual(space, F, X[k], Y[k], tol)
-            except DivergenceError as exc:
-                errors[k] = str(exc)
-    components_equal = row_distances(space, X, Y) <= 2.0 * tol
-
-    runs = []
-    for k, seed in enumerate(seeds):
-        result = None
-        if errors[k] is None:
-            result = SolveResult(
-                fixed_pair=Pair(X[k].copy(), Y[k].copy()),
-                iterations_used=int(iterations[k]),
-                final_residual=float(residual[k]),
-                converged=bool(stopped[k] and residual[k] <= tol),
-                seed_condition_held=bool(seed_ok[k]),
-                components_equal=bool(components_equal[k]),
-            )
-        runs.append(SeedRun(seed, result, errors[k]))
-
-    limits = np.flatnonzero([r.result is not None and r.result.converged for r in runs])
-    a, b = (limits[t] for t in np.triu_indices(len(limits), k=1))
+    limits = [k for k, r in enumerate(results) if r is not None and r.converged]
+    X = np.array([results[k].fixed_pair.first for k in limits]).reshape(-1, F.dim)
+    Y = np.array([results[k].fixed_pair.second for k in limits]).reshape(-1, F.dim)
+    a, b = np.triu_indices(len(limits), k=1)
     dist = np.maximum(row_distances(space, X[a], X[b]), row_distances(space, Y[a], Y[b]))
     max_dist = float(dist.max()) if dist.size else None
     z1, z2 = np.maximum(X[a], X[b]), np.minimum(Y[a], Y[b])
@@ -497,7 +471,7 @@ def uniqueness_probe(
         space, z1, z2, X[b], Y[b]
     )
     bridges = [
-        BridgeCheck(int(i), int(j), Pair(p, q), bool(ok))
+        BridgeCheck(limits[i], limits[j], Pair(p, q), bool(ok))
         for i, j, p, q, ok in zip(a, b, z1, z2, both)
     ]
     agree = len(limits) == len(runs) and (max_dist is None or max_dist <= 2.0 * tol)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from coupledfp import get_builtin
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a tier-1 run is reproducible.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

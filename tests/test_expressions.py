@@ -26,6 +26,7 @@ from coupledfp.expressions import (
     Literal,
     Negate,
     Variable,
+    WALK_ROWS,
     evaluate_components,
 )
 from coupledfp.maps import BLOCK_FLOATS
@@ -254,12 +255,14 @@ class TestRowStacks:
     @pytest.mark.parametrize("text,column,first_bad", FAILURES)
     def test_first_bad_row_matches_pointwise_loop(self, text, column, first_bad):
         F = expression_map([parse_expression(text, 1)], -1.0, 1.0)
-        X = np.array(column)[:, None]
-        Y = np.full_like(X, 0.25)
-        _, want_error = pointwise(F, X, Y)
-        assert first_bad in want_error
-        _, got_error = stacked(F, X, Y)
-        assert got_error == want_error
+        # good rows appended after the column make a stack that eval_rows takes
+        for pad in (0, WALK_ROWS):
+            X = np.array(column + [0.5] * pad)[:, None]
+            Y = np.full_like(X, 0.25)
+            _, want_error = pointwise(F, X, Y)
+            assert first_bad in want_error
+            _, got_error = stacked(F, X, Y)
+            assert got_error == want_error
 
     @pytest.mark.parametrize("name", ["expr_2d.json", "expr_4d.json", "box_edge.json"])
     def test_config_maps_match_tree_walk_bit_for_bit(self, name):
@@ -320,3 +323,13 @@ class TestWorkCounts:
         prob = load_problem(os.path.join(CONFIGS, "expr_4d.json"))
         prob.map.evaluate(prob.seed.first, prob.seed.second)
         assert counts["eval"] > 0 and counts["eval_rows"] == 0
+
+    @pytest.mark.parametrize("rows", [WALK_ROWS, WALK_ROWS + 1])
+    def test_small_stacks_walk_the_tree(self, counts, rows):
+        prob = load_problem(os.path.join(CONFIGS, "expr_4d.json"))
+        X = np.random.default_rng(7).uniform(0.0, 2.0, (2, rows, 4))
+        prob.map.evaluate_rows(X[0], X[1])
+        if rows <= WALK_ROWS:
+            assert counts["eval"] > 0 and counts["eval_rows"] == 0
+        else:
+            assert counts["eval"] == 0 and counts["eval_rows"] > 0

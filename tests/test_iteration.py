@@ -8,15 +8,20 @@ import pytest
 from coupledfp import iteration
 from coupledfp import (
     ContractionParams,
+    CoupledFPError,
     CoupledMap,
     DivergenceError,
     DomainError,
     InputError,
     IterationConfig,
+    IterationTrace,
     Pair,
+    SolveResult,
     SpaceDescriptor,
     apriori_gap_bound,
     apriori_iteration_count,
+    as_point,
+    build_problem,
     check_monotone_chain,
     check_seed_condition,
     comparable,
@@ -29,6 +34,7 @@ from coupledfp import (
     uniqueness_probe,
     verify_coupled_fixed_point,
 )
+from coupledfp.iteration import DIVERGENCE_PADDING, TraceEntry
 
 PARAMS_LINEAR = ContractionParams(0.1, 0.5)
 CONFIGS = os.path.join(os.path.dirname(__file__), "data", "configs")
@@ -41,25 +47,112 @@ def probe_seeds(problem, count, rng_seed=0):
     return [problem.seed] + [Pair(x, y) for x, y in draws]
 
 
+def solo_reference(space, F, x0, y0, config=None):
+    """The coupled iteration as a scalar loop on `F.evaluate`, one seed alone.
+
+    An independent reference for `iterate` and for each run of the probe.
+    """
+    config = config or IterationConfig()
+    x = as_point(x0, dim=F.dim)
+    y = as_point(y0, dim=F.dim)
+    seed_ok = check_seed_condition(space, F, x, y)
+
+    params = config.params
+    ratio = params.ratio if params is not None else None
+    trace = IterationTrace()
+    base_gap = None
+    stopped = False
+    iterations = 0
+
+    for n in range(config.max_iter):
+        try:
+            x_next = F.evaluate(x, y, padding=DIVERGENCE_PADDING)
+            y_next = F.evaluate(y, x, padding=DIVERGENCE_PADDING)
+        except DomainError as exc:
+            raise DivergenceError(f"iteration escaped the padded domain box: {exc}") from exc
+        gap_x = distance(space, x_next, x)
+        gap_y = distance(space, y_next, y)
+        if base_gap is None:
+            base_gap = 0.5 * (gap_x + gap_y)
+        bound = None if ratio is None else ratio**n * base_gap
+        if config.record_trace:
+            trace.entries.append(TraceEntry(n, x, y, gap_x, gap_y, bound))
+        x, y = x_next, y_next
+        iterations = n + 1
+        worst_gap = max(gap_x, gap_y)
+        if ratio is None:
+            stopped = worst_gap <= config.tol
+        else:
+            stopped = worst_gap * ratio / (1.0 - ratio) <= config.tol
+        if stopped:
+            break
+
+    try:
+        _, residual = verify_coupled_fixed_point(
+            space, F, Pair(x, y), config.tol, padding=DIVERGENCE_PADDING
+        )
+    except DomainError as exc:
+        raise DivergenceError(
+            f"final iterate escaped the padded domain box: {exc}"
+        ) from exc
+    result = SolveResult(
+        fixed_pair=Pair(x, y),
+        iterations_used=iterations,
+        final_residual=residual,
+        converged=stopped and residual <= config.tol,
+        seed_condition_held=seed_ok,
+        components_equal=distance(space, x, y) <= 2.0 * config.tol,
+    )
+    return result, trace
+
+
+def bits(value):
+    """A value's type and, for floats and arrays, its exact bytes."""
+    if isinstance(value, (float, np.ndarray)):
+        return type(value), np.asarray(value).dtype, np.asarray(value).tobytes()
+    return type(value), value
+
+
+def assert_same_result(got, ref):
+    assert bits(got.fixed_pair.first) == bits(ref.fixed_pair.first)
+    assert bits(got.fixed_pair.second) == bits(ref.fixed_pair.second)
+    for name in ("iterations_used", "final_residual", "converged",
+                 "seed_condition_held", "components_equal"):
+        assert bits(getattr(got, name)) == bits(getattr(ref, name)), name
+
+
+def assert_iterate_matches_solo(space, F, x0, y0, config):
+    """`iterate` equals the reference bit for bit: result and trace, or its error."""
+    try:
+        ref, ref_trace = solo_reference(space, F, x0, y0, config)
+    except CoupledFPError as exc:
+        with pytest.raises(CoupledFPError) as got:
+            iterate(space, F, x0, y0, config)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        assert type(got.value.__cause__) is type(exc.__cause__)
+        return
+    result, trace = iterate(space, F, x0, y0, config)
+    assert_same_result(result, ref)
+    assert len(trace) == len(ref_trace)
+    for entry, ref_entry in zip(trace, ref_trace):
+        assert [bits(v) for v in entry] == [bits(v) for v in ref_entry]
+
+
 def assert_runs_match_solo(space, F, seeds, config):
-    """Each probe run equals `iterate` from its seed alone, bit for bit."""
+    """Each probe run, and `iterate` from its seed, equal the solo reference."""
     report = uniqueness_probe(space, F, seeds, config)
     assert len(report.runs) == len(seeds)
     for run, seed in zip(report.runs, seeds):
         assert run.seed is seed
+        assert_iterate_matches_solo(space, F, seed.first, seed.second, config)
         try:
-            solo, _ = iterate(space, F, seed.first, seed.second, config)
+            solo, _ = solo_reference(space, F, seed.first, seed.second, config)
         except DivergenceError as exc:
             assert (run.result, run.error) == (None, str(exc))
             continue
         assert run.error is None
-        got = run.result
-        assert got.fixed_pair.first.tobytes() == solo.fixed_pair.first.tobytes()
-        assert got.fixed_pair.second.tobytes() == solo.fixed_pair.second.tobytes()
-        for name in ("iterations_used", "final_residual", "converged",
-                     "seed_condition_held", "components_equal"):
-            assert getattr(got, name) == getattr(solo, name), name
-            assert type(getattr(got, name)) is type(getattr(solo, name)), name
+        assert_same_result(run.result, solo)
 
     limits = [(i, r.result.fixed_pair) for i, r in enumerate(report.runs)
               if r.result is not None and r.result.converged]
@@ -76,6 +169,24 @@ def assert_runs_match_solo(space, F, seeds, config):
                         b.bridge.second.tobytes(), b.comparable_to_both)
                        for b in report.bridges]
     return report
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Call counts of CoupledMap.evaluate_rows, CoupledMap.evaluate and iteration.iterate."""
+    calls = {"evaluate_rows": 0, "evaluate": 0, "iterate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("evaluate_rows", "evaluate"):
+        monkeypatch.setattr(CoupledMap, name, counted(name, getattr(CoupledMap, name)))
+    monkeypatch.setattr(iteration, "iterate", counted("iterate", iteration.iterate))
+    return calls
 
 
 class TestSeedCondition:
@@ -153,6 +264,13 @@ class TestIterate:
         result, trace = iterate(linear.space, linear.map, [-1.0], [1.0], config)
         assert result.converged
         assert len(trace) == 0
+
+    def test_one_stacked_call_per_step(self, linear, calls):
+        config = IterationConfig(max_iter=200, tol=1e-10, params=PARAMS_LINEAR)
+        result, _ = iterate(linear.space, linear.map, linear.seed.first, linear.seed.second, config)
+        assert result.converged
+        assert calls["evaluate_rows"] <= result.iterations_used + 2
+        assert calls["evaluate"] == 0
 
     def test_config_validation(self):
         with pytest.raises(InputError):
@@ -378,6 +496,7 @@ class TestUniquenessProbe:
         assert [(b.index_a, b.index_b) for b in report.bridges] == [(0, 4)]
 
         outside = Pair([1.5], [-1.25])
+        assert_iterate_matches_solo(space, F, outside.first, outside.second, config)
         with pytest.raises(DomainError) as solo:
             iterate(space, F, outside.first, outside.second, config)
         with pytest.raises(DomainError) as probe:
@@ -398,20 +517,25 @@ class TestUniquenessProbe:
         report = assert_runs_match_solo(space, F, seeds, IterationConfig(tol=1e-8))
         assert report.runs[1].error.endswith("second argument above 0.9")
 
+    @pytest.mark.parametrize("params", [None, PARAMS_LINEAR])
+    def test_diverging_expression_map(self, params):
+        # Every seed either leaves the padded box or takes ln of a negative
+        # number; both messages come from the expression tree walk.
+        problem = build_problem({
+            "dim": 1,
+            "components_F": ["ln(x1 + 0.5) - y1"],
+            "domain_box": [-0.4, 1.0],
+            "seed": {"x0": [1.0], "y0": [1.0]},
+        })
+        config = IterationConfig(max_iter=50, tol=1e-8, params=params)
+        report = assert_runs_match_solo(problem.space, problem.map, probe_seeds(problem, 8), config)
+        errors = [run.error for run in report.runs]
+        assert all(errors) and not report.all_agree
+        assert any("ln of non-positive value" in e for e in errors)
+        assert any("outside the domain box" in e for e in errors)
+
     @pytest.mark.parametrize("count", [1, 2, 8, 40])
-    def test_one_stacked_call_per_step(self, linear, monkeypatch, count):
-        calls = {"evaluate_rows": 0, "evaluate": 0, "iterate": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        for name in ("evaluate_rows", "evaluate"):
-            monkeypatch.setattr(CoupledMap, name, counted(name, getattr(CoupledMap, name)))
-        monkeypatch.setattr(iteration, "iterate", counted("iterate", iteration.iterate))
+    def test_one_stacked_call_per_step(self, linear, calls, count):
         config = IterationConfig(max_iter=200, tol=1e-10, params=PARAMS_LINEAR)
         report = uniqueness_probe(linear.space, linear.map, probe_seeds(linear, count), config)
         assert report.all_agree
