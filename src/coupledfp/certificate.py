@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .maps import ContractionParams, CoupledMap, margin_terms
+from .maps import ContractionParams, CoupledMap, _images, margin_terms
 from .spaces import Pair, SpaceDescriptor, as_point, product_leq, rows_leq
 
 # Resolution of the bisection search for the minimal feasible ratio.
@@ -189,7 +189,11 @@ def directed_pairs(
     x, y = lo, hi
     try:
         for _ in range(walk_steps):
-            x_next, y_next = F.evaluate(x, y), F.evaluate(y, x)
+            # F(x, y) and F(y, x) in one stacked call, which evaluates
+            # nothing when x or y lies outside the box.
+            x_next, y_next = (
+                f[0] for f in _images(F, [(x[None], y[None]), (y[None], x[None])])
+            )
             candidates.append((x_next, y_next, x, y))
             x, y = x_next, y_next
     except DomainError:

@@ -106,8 +106,11 @@ def _cmd_solve(args) -> int:
         f"problem: {problem.name}",
         f"converged: {str(result.converged).lower()} "
         f"({result.iterations_used} iterations, residual {_fmt(result.final_residual)})",
-        f"fixed pair x: {_vec(result.fixed_pair.first)}",
-        f"fixed pair y: {_vec(result.fixed_pair.second)}",
+    ]
+    if not args.json:  # only the text report formats the coordinates
+        lines.append(f"fixed pair x: {_vec(result.fixed_pair.first)}")
+        lines.append(f"fixed pair y: {_vec(result.fixed_pair.second)}")
+    lines += [
         f"components equal (tol {_fmt(args.tol)}): {str(result.components_equal).lower()}",
         f"seed condition held: {str(result.seed_condition_held).lower()}",
     ]

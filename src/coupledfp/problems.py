@@ -113,6 +113,44 @@ def affine_demo() -> ProblemSpec:
     )
 
 
+def _kernel_product(kernel: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """kernel @ row for each row of the stack d, or for d itself when 1-D.
+
+    One (1, N) @ (N, N) product per row rounds as kernel @ d does; a single
+    d @ kernel.T over a stack (one matrix product) rounds differently. Kept
+    apart so that tests can count the rows sent through it.
+    """
+    return (d[..., None, :] @ kernel.T)[..., 0, :]
+
+
+def _share_rows(d: np.ndarray):
+    """Rows of the (n, N) stack d equal to an earlier row or to its negation.
+
+    Returns None when there are none, else (k, j, flip): row k[i] equals row
+    j[i], negated where flip[i], and no j[i] is itself in k. Candidates share
+    the fingerprint sum |d| and every share is confirmed on the whole row, so
+    a fingerprint collision only costs a product. Since a - b == -(b - a)
+    and rounding to nearest is symmetric, kernel @ -d is -(kernel @ d) up to
+    the sign of zeros, which 0.25 + erases; zeros of either sign therefore
+    compare equal here.
+    """
+    fingerprint = np.abs(d).sum(axis=1)
+    order = np.argsort(fingerprint, kind="stable")
+    tie = fingerprint[order[1:]] == fingerprint[order[:-1]]
+    if not tie.any():
+        return None
+    # Each candidate is matched against the earliest row of its fingerprint.
+    starts = np.where(np.concatenate(([True], ~tie)), np.arange(len(d)), 0)
+    k = order[1:][tie]
+    j = order[np.maximum.accumulate(starts)[1:][tie]]
+    same = np.all(d[k] == d[j], axis=1)
+    flip = ~same & np.all(d[k] == -d[j], axis=1)
+    shared = same | flip
+    if not shared.any():
+        return None
+    return k[shared], j[shared], flip[shared]
+
+
 def integral_demo(n_nodes: int = 16) -> ProblemSpec:
     if n_nodes < 1:
         raise InputError(f"integral_demo needs n_nodes >= 1, got {n_nodes}")
@@ -124,11 +162,20 @@ def integral_demo(n_nodes: int = 16) -> ProblemSpec:
         return v / (1.0 + np.abs(v))
 
     def evaluator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # One kernel product per row (also for a single 1-D row), which
-        # rounds as kernel @ d does; a single d @ kernel.T over a stack (one
-        # matrix product) rounds differently.
+        # A stack holds F(x, y) next to F(y, x), whose d is exactly -d: the
+        # product is computed once per distinct row up to sign (see
+        # _share_rows) and negated for the other, bit for bit.
         d = squash(x) - squash(y)
-        return 0.25 + scale * (d[..., None, :] @ kernel.T)[..., 0, :]
+        shares = None if d.ndim == 1 else _share_rows(d)
+        if shares is None:
+            return 0.25 + scale * _kernel_product(kernel, d)
+        k, j, flip = shares
+        own = np.ones(len(d), dtype=bool)
+        own[k] = False
+        scaled = np.empty_like(d)
+        scaled[own] = scale * _kernel_product(kernel, d[own])
+        scaled[k] = np.where(flip[:, None], -scaled[j], scaled[j])
+        return 0.25 + scaled
 
     space = SpaceDescriptor(dim=n_nodes, metric="max")
     F = CoupledMap(

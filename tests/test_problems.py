@@ -5,15 +5,22 @@ import pytest
 
 from coupledfp import (
     BUILTINS,
+    ContractionParams,
     InputError,
+    IterationConfig,
+    Pair,
     build_problem,
+    certify_region,
     check_seed_condition,
     distance,
     get_builtin,
+    iterate,
     load_problem,
     mixed_monotone_check,
     product_leq,
+    uniqueness_probe,
 )
+from coupledfp import problems
 from coupledfp.certificate import sample_comparable_pairs
 
 
@@ -77,6 +84,106 @@ class TestIntegralDemo:
                 + distance(space, s.a.second, s.b.second)
             )
             assert lhs <= rhs + 1e-12
+
+
+def integral_reference(n_nodes, X, Y):
+    """0.25 + scale * (kernel @ d), one row at a time, as the operator reads."""
+    nodes = np.arange(n_nodes) / n_nodes
+    kernel = np.exp(-np.abs(nodes[:, None] - nodes[None, :]))
+    scale = 1.0 / (4.0 * n_nodes)
+
+    def squash(v):
+        return v / (1.0 + np.abs(v))
+
+    return np.array([0.25 + scale * (kernel @ (squash(x) - squash(y))) for x, y in zip(X, Y)])
+
+
+def sharing_stack(rng, n):
+    """(X, Y) rows whose d = s(x) - s(y) repeat, negate or nearly match each other."""
+    x, y, u, v = rng.uniform(-2.0, 2.0, size=(4, n))
+    zero = np.zeros(n)
+    # s(1) = 0.5, so these rows' sums of |d| are exact and a permutation of
+    # a row has the same sum.
+    p = np.resize([1.0, 1.0, 0.0, -1.0], n)
+    rows = [
+        (x, y), (u, v), (y, x), (v, u),  # swapped pairs
+        (x, y), (v, u),  # exact repeats
+        (u, u), (zero, zero),  # x == y
+        (np.where(np.arange(n) % 2, -0.0, 0.0), zero),  # d of -0.0 and +0.0
+        (zero, np.full(n, -0.0)),
+        (p, zero), (zero, p),
+        (np.where(p == 0.0, -0.0, p), zero),  # a repeat up to the sign of a zero
+        (np.roll(p, 1), zero),  # a permutation: same fingerprint, no share
+        (p * np.resize([1.0, -1.0], n), zero),  # same |d|, some signs flipped
+    ]
+    order = rng.permutation(len(rows))
+    return tuple(np.array([rows[k][j] for k in order]) for j in (0, 1))
+
+
+@pytest.fixture
+def kernel_rows(monkeypatch):
+    """Rows each integral_demo kernel product is run on, one entry per call."""
+    counts = []
+    product = problems._kernel_product
+
+    def counting(kernel, d):
+        counts.append(len(np.atleast_2d(d)))
+        return product(kernel, d)
+
+    monkeypatch.setattr(problems, "_kernel_product", counting)
+    return counts
+
+
+class TestIntegralSharedProducts:
+    """One kernel product per distinct row of s(x) - s(y) up to sign, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 3, 16, 37, 1024])
+    def test_stacks_match_per_row_reference(self, n):
+        F = get_builtin("integral_demo", n).map
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            X, Y = sharing_stack(rng, n)
+            expected = integral_reference(n, X, Y).tobytes()
+            assert F.evaluator(X, Y).tobytes() == expected
+            assert F.evaluate_rows(X, Y).tobytes() == expected
+
+    @pytest.mark.parametrize("n", [1, 3, 16, 37, 1024])
+    def test_one_row_matches_reference(self, n):
+        F = get_builtin("integral_demo", n).map
+        X, Y = sharing_stack(np.random.default_rng(n), n)
+        for x, y, expected in zip(X, Y, integral_reference(n, X, Y)):
+            assert F.evaluator(x, y).tobytes() == expected.tobytes()
+
+    def test_certify_runs_half_the_map_rows(self, kernel_rows):
+        spec = get_builtin("integral_demo", 16)
+        certify_region(
+            spec.space, spec.map, ContractionParams(0.05, 0.5),
+            count=2500, rng_seed=3, include_directed=False,
+        )
+        assert sum(kernel_rows) == 2 * 2500
+        assert len(kernel_rows) == 3  # blocks of 1024 samples
+
+    @pytest.mark.parametrize("seeds", [1, 5])
+    def test_iteration_step_runs_one_row_per_seed(self, kernel_rows, seeds):
+        spec = get_builtin("integral_demo", 16)
+        rng = np.random.default_rng(seeds)
+        pairs = [spec.seed] + [Pair(*rng.uniform(-2.0, 2.0, (2, 16))) for _ in range(seeds - 1)]
+        totals = []
+        for max_iter in (1, 4):
+            kernel_rows.clear()
+            config = IterationConfig(max_iter=max_iter, tol=1e-300)
+            if seeds == 1:
+                iterate(spec.space, spec.map, spec.seed.first, spec.seed.second, config)
+            else:
+                uniqueness_probe(spec.space, spec.map, pairs, config)
+            totals.append(sum(kernel_rows))
+        # seed check + max_iter steps + final iterate, one row each per seed
+        assert totals == [3 * seeds, 6 * seeds]
+
+    def test_monotone_check_shares_nothing(self, kernel_rows):
+        spec = get_builtin("integral_demo", 16)
+        mixed_monotone_check(spec.space, spec.map, sample_count=300, rng_seed=5)
+        assert kernel_rows == [4 * 300]
 
 
 class TestBuildProblem:
