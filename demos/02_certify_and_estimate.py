@@ -47,7 +47,7 @@ pinned = make_sample_pair(space, F, Pair([0.1], [-0.29]), Pair([0.01], [-0.02]))
 print(f"  hand-checkable pair margin at (0.1, 0.4): {pinned.margin(bad):.4f}")
 
 # --- estimate the minimal ratio from samples alone ---------------------------
-samples = sample_comparable_pairs(space, F, None, 10_000, rng_seed=42)
+samples = sample_comparable_pairs(space, F, 10_000, rng_seed=42)
 estimate = estimate_params(samples)
 print(f"\nestimated minimal ratio: {estimate.ratio:.6f} "
       f"(alpha={estimate.alpha:.3g}, beta={estimate.beta:.6f})")

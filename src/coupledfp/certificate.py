@@ -21,13 +21,15 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .maps import ContractionParams, CoupledMap, _images, margin_terms
-from .spaces import Pair, SpaceDescriptor, as_point, product_leq, rows_leq
+from .spaces import Pair, SpaceDescriptor, product_leq, rows_leq
 
 # Resolution of the bisection search for the minimal feasible ratio.
 RATIO_TOL = 1e-6
 # Witness alpha is pulled this far inside its feasible interval so that the
 # reported params re-certify with strictly nonnegative float margins.
 ALPHA_INSET = 1e-9
+# Length of the iteration walk in the directed sample family.
+WALK_STEPS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,36 +128,20 @@ def make_sample_pair(space: SpaceDescriptor, F: CoupledMap, a: Pair, b: Pair) ->
     return _explicit_pairs(space, F, [(a, b)])[0]
 
 
-def _region_bounds(F: CoupledMap, region_box) -> tuple[np.ndarray, np.ndarray]:
-    if region_box is None:
-        return F.lower.copy(), F.upper.copy()
-    lo, hi = region_box
-    lo = as_point(lo, dim=F.dim)
-    hi = as_point(hi, dim=F.dim)
-    if np.any(lo > hi):
-        raise InputError("region box has lower > upper")
-    if np.any(lo < F.lower) or np.any(hi > F.upper):
-        raise InputError("region box must lie inside the map's domain box")
-    return lo, hi
-
-
 def sample_comparable_pairs(
-    space: SpaceDescriptor,
-    F: CoupledMap,
-    region_box,
-    count: int,
-    rng_seed: int,
+    space: SpaceDescriptor, F: CoupledMap, count: int, rng_seed: int
 ) -> SampleSet:
-    """Draw ``count`` ordered pairs of pairs uniformly-ish over the region.
+    """Draw ``count`` ordered pairs of pairs uniformly-ish over the map's box.
 
-    b is uniform in the box; a adds a nonnegative offset to the first
+    b is uniform in the domain box; a adds a nonnegative offset to the first
     component and a nonpositive one to the second, clipped back to the box,
-    so b <= a holds by construction. Deterministic for a given seed: all
-    randomness is drawn in one fixed-layout block up front.
+    so b <= a holds by construction. A box of zero width along a coordinate
+    pins that coordinate. Deterministic for a given seed: all randomness is
+    drawn in one fixed-layout block up front.
     """
     if count < 0:
         raise InputError(f"count must be >= 0, got {count}")
-    lo, hi = _region_bounds(F, region_box)
+    lo, hi = F.lower, F.upper
     rng = np.random.default_rng(rng_seed)
     width = hi - lo
     shape = (count, F.dim)
@@ -166,21 +152,19 @@ def sample_comparable_pairs(
     return _sample_set(space, F, a_first, a_second, b_first, b_second)
 
 
-def directed_pairs(
-    space: SpaceDescriptor, F: CoupledMap, region_box=None, walk_steps: int = 8
-) -> SampleSet:
+def directed_pairs(space: SpaceDescriptor, F: CoupledMap) -> SampleSet:
     """Deterministic pairs aimed at the places uniform sampling misses.
 
-    Three families: diagonal pairs a = b at box extremes and center (their
-    margin degenerates to alpha * rational_term), the extreme ordered pair
-    (top, bottom) vs (bottom, top) and its half-way variants, and
-    consecutive iterates of a short walk started from (bottom, top), whose
-    rational term shrinks with the displacement. Non-comparable candidates
-    are silently skipped. The walk stops at its first point outside the
-    box, but keeps the pair ending there, whose evaluation then fails if it
-    is comparable.
+    Three families over the map's domain box: diagonal pairs a = b at box
+    extremes and center (their margin degenerates to alpha * rational_term),
+    the extreme ordered pair (top, bottom) vs (bottom, top) and its half-way
+    variants, and WALK_STEPS consecutive iterates of a walk started from
+    (bottom, top), whose rational term shrinks with the displacement.
+    Non-comparable candidates are silently skipped. The walk stops at its
+    first point outside the box, but keeps the pair ending there, whose
+    evaluation then fails if it is comparable.
     """
-    lo, hi = _region_bounds(F, region_box)
+    lo, hi = F.lower, F.upper
     mid = 0.5 * (lo + hi)
     # (a_first, a_second, b_first, b_second) per candidate
     candidates = [(p, q, p, q) for p in (lo, mid, hi) for q in (lo, mid, hi)]
@@ -188,7 +172,7 @@ def directed_pairs(
 
     x, y = lo, hi
     try:
-        for _ in range(walk_steps):
+        for _ in range(WALK_STEPS):
             # F(x, y) and F(y, x) in one stacked call, which evaluates
             # nothing when x or y lies outside the box.
             x_next, y_next = (
@@ -284,22 +268,19 @@ def certify_region(
     space: SpaceDescriptor,
     F: CoupledMap,
     params: ContractionParams,
-    region_box=None,
     count: int = 10_000,
     rng_seed: int = 0,
     adversarial_pairs: list[tuple[Pair, Pair]] | None = None,
-    include_directed: bool = True,
 ) -> CertificateReport:
-    """Falsification-style certificate for (alpha, beta) over a region.
+    """Falsification-style certificate for (alpha, beta) on the map's box.
 
     Draws ``count`` random ordered pairs, adds the deterministic directed
     family and any user-registered adversarial pairs, and aggregates the
     margins. Zero violations means the hypothesis survived this sample set,
-    nothing stronger.
+    nothing stronger. For the uniform draw alone, pass
+    `sample_comparable_pairs` to `evaluate_samples`.
     """
-    samples = sample_comparable_pairs(space, F, region_box, count, rng_seed)
-    if include_directed:
-        samples += directed_pairs(space, F, region_box)
+    samples = sample_comparable_pairs(space, F, count, rng_seed) + directed_pairs(space, F)
     if adversarial_pairs:
         samples += _explicit_pairs(space, F, adversarial_pairs)
     return evaluate_samples(params, samples)

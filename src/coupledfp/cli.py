@@ -124,12 +124,7 @@ def _cmd_certify(args) -> int:
     problem = _load_problem(args)
     params = _params_from(args, problem, required=True)
     report = certify_region(
-        problem.space,
-        problem.map,
-        params,
-        region_box=None,
-        count=args.samples,
-        rng_seed=args.rng_seed,
+        problem.space, problem.map, params, count=args.samples, rng_seed=args.rng_seed
     )
     payload = {"problem": problem.name, **report.to_jsonable()}
     lines = [
@@ -158,9 +153,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_estimate(args) -> int:
     problem = _load_problem(args)
-    samples = sample_comparable_pairs(
-        problem.space, problem.map, None, args.samples, args.rng_seed
-    )
+    samples = sample_comparable_pairs(problem.space, problem.map, args.samples, args.rng_seed)
     if not samples:
         raise InputError("estimate needs --samples >= 1")
     estimate = estimate_params(samples)
@@ -207,11 +200,13 @@ def _cmd_check_monotone(args) -> int:
 
 
 def _cmd_probe_uniqueness(args) -> int:
+    if args.samples < 1:
+        raise InputError("probe-uniqueness needs --samples >= 1")
     problem = _load_problem(args)
     params = _params_from(args, problem, required=False)
     config = IterationConfig(max_iter=args.max_iter, tol=args.tol, params=params)
     seeds = [problem.seed]
-    extra = max(0, args.samples - 1)
+    extra = args.samples - 1
     if extra:
         rng = np.random.default_rng(args.rng_seed)
         lo, hi = problem.map.lower, problem.map.upper

@@ -49,13 +49,13 @@ class IterationConfig:
     geometric tail  max(gap_x, gap_y) * r / (1 - r) <= tol, a sound bound
     on the distance from the newest iterate to the limit; without params it
     falls back to max(gap_x, gap_y) <= tol. ``tol`` also drives the
-    component-equality flag (see SolveResult).
+    component-equality flag (see SolveResult). `iterate` always records its
+    trace, one entry per step.
     """
 
     max_iter: int = 200
     tol: float = 1e-10
     params: ContractionParams | None = None
-    record_trace: bool = True
 
     def __post_init__(self):
         if not isinstance(self.max_iter, int) or self.max_iter < 1:
@@ -282,9 +282,7 @@ def iterate(
     """
     config = config or IterationConfig()
     trace = IterationTrace()
-    (result,), (error,) = _run(
-        space, F, [(x0, y0)], config, trace if config.record_trace else None
-    )
+    (result,), (error,) = _run(space, F, [(x0, y0)], config, trace)
     if error is not None:
         raise error
     return result, trace

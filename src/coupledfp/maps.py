@@ -107,9 +107,6 @@ class CoupledMap:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
-    def box_width(self) -> np.ndarray:
-        return self.upper - self.lower
-
     def contains(self, p: np.ndarray, padding: float = 1.0) -> bool:
         """Whether p lies in the box inflated about its center by ``padding``.
 
@@ -382,8 +379,8 @@ def mixed_monotone_check(
         x1, x2 = np.minimum(p, q), np.maximum(p, q)
         y1, y2 = np.minimum(r, s), np.maximum(r, s)
         f1, f2, g2, g1 = _images(F, [(x1, y_fix), (x2, y_fix), (x_fix, y2), (x_fix, y1)])
-        excess_first[lo:hi] = np.max(f1 - f2, axis=1) - space.order_slack
-        excess_second[lo:hi] = np.max(g2 - g1, axis=1) - space.order_slack
+        excess_first[lo:hi] = np.max(f1 - f2, axis=1)
+        excess_second[lo:hi] = np.max(g2 - g1, axis=1)
 
     # A sample's excess is its larger direction, the first on ties; the
     # worst witness is the earliest sample with the largest positive excess.

@@ -235,7 +235,12 @@ def _parse_params(doc) -> ContractionParams:
     missing = _PARAM_KEYS - set(doc)
     if missing:
         raise InputError(f"params is missing {sorted(missing)}")
-    return ContractionParams(float(doc["alpha"]), float(doc["beta"]))
+    try:
+        return ContractionParams(float(doc["alpha"]), float(doc["beta"]))
+    except (TypeError, ValueError) as exc:
+        raise InputError(
+            f"params alpha and beta must be numbers, got {doc['alpha']!r} and {doc['beta']!r}"
+        ) from exc
 
 
 def _parse_seed(doc, dim: int) -> Pair:
@@ -248,8 +253,17 @@ def _parse_seed(doc, dim: int) -> Pair:
     return Pair(as_point(doc["x0"], dim=dim), as_point(doc["y0"], dim=dim))
 
 
+def _parse_dim(dim) -> int:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise InputError(f"dim must be a positive integer, got {dim!r}")
+    return dim
+
+
 def _parse_box(doc, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    box = np.asarray(doc, dtype=float)
+    try:
+        box = np.asarray(doc, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"domain_box must hold numbers, got {doc!r}") from exc
     if box.shape == (2,):
         lower = np.full(dim, box[0])
         upper = np.full(dim, box[1])
@@ -281,7 +295,8 @@ def build_problem(config: Mapping) -> ProblemSpec:
 
     if "builtin" in config:
         _reject_unknown(config, _BUILTIN_KEYS, "builtin config")
-        spec = get_builtin(str(config["builtin"]), config.get("dim"))
+        dim = None if config.get("dim") is None else _parse_dim(config["dim"])
+        spec = get_builtin(str(config["builtin"]), dim)
         seed = spec.seed if "seed" not in config else _parse_seed(config["seed"], spec.space.dim)
         params = (
             spec.suggested_params
@@ -301,9 +316,7 @@ def build_problem(config: Mapping) -> ProblemSpec:
         raise InputError("config needs either 'builtin' or 'components_F'")
     if "dim" not in config:
         raise InputError("custom maps need an explicit 'dim'")
-    dim = config["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise InputError(f"dim must be a positive integer, got {dim!r}")
+    dim = _parse_dim(config["dim"])
     components = config["components_F"]
     if not isinstance(components, (list, tuple)) or len(components) != dim:
         raise InputError(f"components_F must list exactly {dim} expressions")

@@ -22,11 +22,14 @@ _NORM_ORDER = {"euclidean": 2, "max": np.inf, "l1": 1}
 def as_point(coords, dim: int | None = None) -> np.ndarray:
     """Validate and normalize a point to a finite 1-D float array.
 
-    Scalars become 1-vectors. Raises :class:`InputError` on non-finite
-    coordinates and :class:`DimensionMismatchError` when ``dim`` is given
-    and does not match.
+    Scalars become 1-vectors. Raises :class:`InputError` on coordinates
+    that are not numbers or not finite and :class:`DimensionMismatchError`
+    when ``dim`` is given and does not match.
     """
-    arr = np.atleast_1d(np.asarray(coords, dtype=float))
+    try:
+        arr = np.atleast_1d(np.asarray(coords, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"a point needs numeric coordinates, got {coords!r}") from exc
     if arr.ndim != 1:
         raise InputError(f"a point must be a flat sequence, got shape {arr.shape}")
     if arr.size == 0:
@@ -62,27 +65,20 @@ class Pair:
 
 @dataclass(frozen=True)
 class SpaceDescriptor:
-    """The ambient space (X, d, <=): dimension, metric, order tolerance.
+    """The ambient space (X, d, <=): dimension and metric.
 
-    ``order_slack`` widens the coordinatewise order to ``p_i <= q_i + slack``.
-    With slack 0 (the default) the relation is a genuine partial order;
-    nonzero slack breaks transitivity and antisymmetry and is meant only for
-    diagnostics, never for the solver's correctness arguments.
+    The order is the coordinatewise one, p <= q iff p_i <= q_i for all i, a
+    genuine partial order on which the solver's correctness arguments rest.
     """
 
     dim: int
     metric: str = "euclidean"
-    order_slack: float = 0.0
 
     def __post_init__(self):
         if not isinstance(self.dim, int) or self.dim < 1:
             raise InputError(f"dim must be a positive integer, got {self.dim!r}")
         if self.metric not in METRICS:
             raise InputError(f"unknown metric {self.metric!r}; choose from {METRICS}")
-        slack = float(self.order_slack)
-        if not np.isfinite(slack) or slack < 0:
-            raise InputError(f"order_slack must be finite and >= 0, got {self.order_slack!r}")
-        object.__setattr__(self, "order_slack", slack)
 
 
 def _check_dims(space: SpaceDescriptor, *points: np.ndarray) -> None:
@@ -117,16 +113,16 @@ def row_distances(space: SpaceDescriptor, P: np.ndarray, Q: np.ndarray) -> np.nd
 
 
 def leq(space: SpaceDescriptor, p, q) -> bool:
-    """Coordinatewise order: p <= q iff p_i <= q_i + order_slack for all i."""
+    """Coordinatewise order: p <= q iff p_i <= q_i for all i."""
     p = as_point(p)
     q = as_point(q)
     _check_dims(space, p, q)
-    return bool(np.all(p <= q + space.order_slack))
+    return bool(np.all(p <= q))
 
 
 def rows_leq(space: SpaceDescriptor, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """`leq` of each row of P with the matching row of Q, as a bool array."""
-    return np.all(P <= Q + space.order_slack, axis=1)
+    return np.all(P <= Q, axis=1)
 
 
 def product_leq(space: SpaceDescriptor, a: Pair, b: Pair) -> bool:

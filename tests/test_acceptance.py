@@ -130,7 +130,7 @@ def test_criterion_04_certificates():
 def test_criterion_05_estimate_against_grid_oracle():
     with criterion(5, "estimate: minimal ratio ~0.5, cross-checked on a 1e-3 grid"):
         prob = get_builtin("linear_demo")
-        samples = sample_comparable_pairs(prob.space, prob.map, None, 10_000, 42)
+        samples = sample_comparable_pairs(prob.space, prob.map, 10_000, 42)
         estimate = estimate_params(samples)
         assert estimate.feasible
         assert 0.49 <= estimate.ratio <= 0.51

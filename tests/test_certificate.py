@@ -51,28 +51,29 @@ def grid_minimal_ratio(samples, resolution=1e-3):
 
 class TestSampler:
     def test_count_zero(self, linear):
-        assert len(sample_comparable_pairs(linear.space, linear.map, None, 0, 1)) == 0
+        assert len(sample_comparable_pairs(linear.space, linear.map, 0, 1)) == 0
 
     def test_negative_count(self, linear):
         with pytest.raises(InputError):
-            sample_comparable_pairs(linear.space, linear.map, None, -1, 1)
+            sample_comparable_pairs(linear.space, linear.map, -1, 1)
 
     def test_all_ordered(self, linear):
-        samples = sample_comparable_pairs(linear.space, linear.map, None, 500, 13)
+        samples = sample_comparable_pairs(linear.space, linear.map, 500, 13)
         assert len(samples) == 500
         for s in samples:
             assert product_leq(linear.space, s.b, s.a)
 
     def test_deterministic(self, linear):
-        s1 = sample_comparable_pairs(linear.space, linear.map, None, 50, 3)
-        s2 = sample_comparable_pairs(linear.space, linear.map, None, 50, 3)
+        s1 = sample_comparable_pairs(linear.space, linear.map, 50, 3)
+        s2 = sample_comparable_pairs(linear.space, linear.map, 50, 3)
         for a, b in zip(s1, s2):
             assert np.array_equal(a.a.first, b.a.first)
             assert a.image_distance == b.image_distance
 
     def test_degenerate_box(self, linear):
-        box = ([0.5], [0.5])
-        samples = sample_comparable_pairs(linear.space, linear.map, box, 20, 1)
+        F = linear.map
+        point = CoupledMap("point", 1, F.evaluator, [0.5], [0.5], batched=F.batched)
+        samples = sample_comparable_pairs(linear.space, point, 20, 1)
         params = ContractionParams(0.1, 0.5)
         for s in samples:
             assert np.array_equal(s.a.first, s.b.first)
@@ -80,12 +81,8 @@ class TestSampler:
             assert s.margin(params) == params.alpha * s.rational_term
             assert s.margin(params) >= 0
 
-    def test_region_must_lie_inside_domain(self, linear):
-        with pytest.raises(InputError):
-            sample_comparable_pairs(linear.space, linear.map, ([-5.0], [5.0]), 10, 1)
-
     def test_cached_values_match_fresh(self, linear, rng):
-        samples = sample_comparable_pairs(linear.space, linear.map, None, 100, 21)
+        samples = sample_comparable_pairs(linear.space, linear.map, 100, 21)
         space, F = linear.space, linear.map
         for s in samples:
             fresh_img = distance(
@@ -113,15 +110,8 @@ class TestCertify:
         assert report.worst_margin >= 0.0
 
     def test_linear_bad_params_falsified_by_adversarial_pair(self, linear):
-        report = certify_region(
-            linear.space,
-            linear.map,
-            ContractionParams(0.1, 0.4),
-            count=0,
-            rng_seed=7,
-            adversarial_pairs=[ADVERSARIAL],
-            include_directed=False,
-        )
+        pair = make_sample_pair(linear.space, linear.map, *ADVERSARIAL)
+        report = evaluate_samples(ContractionParams(0.1, 0.4), [pair])
         assert report.sample_count == 1
         assert report.violations == 1
         assert report.worst_margin <= -0.015
@@ -138,21 +128,15 @@ class TestCertify:
         assert report.violations >= 1
 
     def test_empty_report(self, linear):
-        report = certify_region(
-            linear.space,
-            linear.map,
-            ContractionParams(0.1, 0.5),
-            count=0,
-            rng_seed=7,
-            include_directed=False,
-        )
+        samples = sample_comparable_pairs(linear.space, linear.map, 0, 7)
+        report = evaluate_samples(ContractionParams(0.1, 0.5), samples)
         assert report.sample_count == 0
         assert report.violations == 0
         assert report.worst_margin is None
         assert report.min_margin_pair is None
 
     def test_worst_margin_monotone_in_params(self, linear):
-        samples = sample_comparable_pairs(linear.space, linear.map, None, 2_000, 5)
+        samples = sample_comparable_pairs(linear.space, linear.map, 2_000, 5)
         samples += directed_pairs(linear.space, linear.map)
         base = evaluate_samples(ContractionParams(0.1, 0.5), samples)
         more_beta = evaluate_samples(ContractionParams(0.1, 0.55), samples)
@@ -195,7 +179,7 @@ class TestEstimate:
             estimate_params([])
 
     def test_linear_demo_ratio_near_half(self, linear):
-        samples = sample_comparable_pairs(linear.space, linear.map, None, 10_000, 42)
+        samples = sample_comparable_pairs(linear.space, linear.map, 10_000, 42)
         estimate = estimate_params(samples)
         assert estimate.feasible
         assert 0.49 <= estimate.ratio <= 0.51
@@ -204,7 +188,7 @@ class TestEstimate:
         assert abs(estimate.ratio - oracle) <= 3e-3
 
     def test_self_consistency(self, linear):
-        samples = sample_comparable_pairs(linear.space, linear.map, None, 3_000, 11)
+        samples = sample_comparable_pairs(linear.space, linear.map, 3_000, 11)
         estimate = estimate_params(samples)
         with pytest.warns(UserWarning) if estimate.alpha == 0.0 else _noop():
             params = ContractionParams(estimate.alpha, estimate.beta)
@@ -214,7 +198,7 @@ class TestEstimate:
     def test_expansive_map_infeasible(self):
         space = SpaceDescriptor(dim=1)
         F = CoupledMap("expand", 1, lambda x, y: 2.0 * x, [-1.0], [1.0])
-        samples = sample_comparable_pairs(space, F, None, 200, 8)
+        samples = sample_comparable_pairs(space, F, 200, 8)
         estimate = estimate_params(samples)
         assert not estimate.feasible
         assert estimate.ratio is None

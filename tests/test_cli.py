@@ -12,6 +12,7 @@ from coupledfp.parallel import worker_cap
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 BOX_EDGE = os.path.join(DATA, "configs", "box_edge.json")
+DEGENERATE_BOX = os.path.join(DATA, "configs", "degenerate_box.json")
 sys.path.insert(0, DATA)
 import make_cli_golden  # noqa: E402
 
@@ -67,6 +68,14 @@ class TestSolve:
         code, _, err = run_cli(capsys, *argv, "--config", BOX_EDGE)
         assert code == 0, err
 
+    @pytest.mark.parametrize(
+        "command", ["solve", "certify", "estimate", "check-monotone", "probe-uniqueness"]
+    )
+    def test_degenerate_box(self, capsys, command):
+        # the box is a single value along its second coordinate
+        code, _, err = run_cli(capsys, command, "--config", DEGENERATE_BOX)
+        assert code == 0, err
+
     def test_trace_file(self, capsys, tmp_path):
         path = tmp_path / "trace.csv"
         code, _, _ = run_cli(
@@ -93,6 +102,35 @@ class TestSolve:
         )
         assert code == 1
         assert "either" in err
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"builtin": "integral_demo", "dim": "16"},
+            {"builtin": "integral_demo", "dim": True},
+            {"dim": True, "components_F": ["x1"], "seed": {"x0": [0.0], "y0": [0.0]}},
+            {"builtin": "linear_demo", "seed": {"x0": ["abc"], "y0": [0.0]}},
+            {
+                "dim": 1,
+                "components_F": ["0.25*x1"],
+                "domain_box": ["a", 1],
+                "seed": {"x0": [0.0], "y0": [0.0]},
+            },
+            {"builtin": "linear_demo", "params": {"alpha": "abc", "beta": 0.5}},
+            {"builtin": "linear_demo", "params": {"alpha": None, "beta": 0.5}},
+        ],
+        ids=[
+            "dim-string", "dim-bool", "custom-dim-bool", "x0-string", "box-string",
+            "alpha-string", "alpha-null",
+        ],
+    )
+    def test_malformed_config_exit_one(self, capsys, tmp_path, config):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "solve", "--config", str(path))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert out == ""
 
     def test_alpha_without_beta(self, capsys):
         code, _, err = run_cli(
@@ -190,6 +228,15 @@ class TestProbeUniqueness:
         )
         assert code == 0
         assert "limits agree" in out
+
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_no_seeds_exit_one(self, capsys, samples):
+        code, out, err = run_cli(
+            capsys, "probe-uniqueness", "--problem", "linear_demo", "--samples", samples
+        )
+        assert code == 1
+        assert "--samples >= 1" in err
+        assert out == ""
 
     def test_json_payload(self, capsys):
         code, out, _ = run_cli(

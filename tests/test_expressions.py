@@ -10,8 +10,8 @@ from coupledfp import (
     CoupledMap,
     DomainError,
     ExpressionError,
-    certify_region,
     directed_pairs,
+    evaluate_samples,
     load_problem,
     mixed_monotone_check,
     parse_expression,
@@ -272,7 +272,7 @@ class TestRowStacks:
         walk = CoupledMap(F.name, F.dim, F.evaluator, F.lower, F.upper)  # one row per call
 
         def terms(G):
-            s = sample_comparable_pairs(space, G, None, 2000, 5) + directed_pairs(space, G)
+            s = sample_comparable_pairs(space, G, 2000, 5) + directed_pairs(space, G)
             return [t.tobytes() for t in (s.image_distance, s.rational_term, s.distance_sum)]
 
         assert terms(F) == terms(walk)
@@ -309,10 +309,8 @@ class TestWorkCounts:
 
         counted = CoupledMap(F.name, F.dim, evaluator, F.lower, F.upper, batched=F.batched)
         n = 10_000
-        report = certify_region(
-            prob.space, counted, prob.suggested_params,
-            count=n, rng_seed=3, include_directed=False,
-        )
+        samples = sample_comparable_pairs(prob.space, counted, n, rng_seed=3)
+        report = evaluate_samples(prob.suggested_params, samples)
         rows_per_block = max(1, BLOCK_FLOATS // F.dim)
         assert report.sample_count == n
         assert counts["eval"] == 0 and counts["eval_rows"] > 0

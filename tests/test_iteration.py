@@ -75,8 +75,7 @@ def solo_reference(space, F, x0, y0, config=None):
         if base_gap is None:
             base_gap = 0.5 * (gap_x + gap_y)
         bound = None if ratio is None else ratio**n * base_gap
-        if config.record_trace:
-            trace.entries.append(TraceEntry(n, x, y, gap_x, gap_y, bound))
+        trace.entries.append(TraceEntry(n, x, y, gap_x, gap_y, bound))
         x, y = x_next, y_next
         iterations = n + 1
         worst_gap = max(gap_x, gap_y)
@@ -258,12 +257,6 @@ class TestIterate:
         F = CoupledMap("double", 1, lambda x, y: 2.0 * x + 0.5, [-1.0], [1.0])
         with pytest.raises(DivergenceError):
             iterate(space, F, [0.5], [0.5], IterationConfig(max_iter=50, tol=1e-8))
-
-    def test_record_trace_off(self, linear):
-        config = IterationConfig(max_iter=50, tol=1e-8, record_trace=False)
-        result, trace = iterate(linear.space, linear.map, [-1.0], [1.0], config)
-        assert result.converged
-        assert len(trace) == 0
 
     def test_one_stacked_call_per_step(self, linear, calls):
         config = IterationConfig(max_iter=200, tol=1e-10, params=PARAMS_LINEAR)

@@ -17,9 +17,9 @@ from coupledfp import (
     DomainError,
     Pair,
     SpaceDescriptor,
-    certify_region,
     directed_pairs,
     distance,
+    evaluate_samples,
     get_builtin,
     load_problem,
     margin_terms,
@@ -60,8 +60,8 @@ def reference_monotone(space, F, sample_count, rng_seed):
         p, q, y_fix, x_fix, r, s = draws[k]
         x1, x2 = np.minimum(p, q), np.maximum(p, q)
         y1, y2 = np.minimum(r, s), np.maximum(r, s)
-        ef = float(np.max(F.evaluate(x1, y_fix) - F.evaluate(x2, y_fix)) - space.order_slack)
-        es = float(np.max(F.evaluate(x_fix, y2) - F.evaluate(x_fix, y1)) - space.order_slack)
+        ef = float(np.max(F.evaluate(x1, y_fix) - F.evaluate(x2, y_fix)))
+        es = float(np.max(F.evaluate(x_fix, y2) - F.evaluate(x_fix, y1)))
         if ef > 0 or es > 0:
             violations += 1
             if ef >= es and ef > worst_excess:
@@ -81,7 +81,7 @@ def problems():
 @pytest.mark.parametrize("prob", problems(), ids=lambda p: p.name[:20])
 def test_sample_set_terms_match_scalar_reference_bit_for_bit(prob):
     space, F = prob.space, prob.map
-    samples = sample_comparable_pairs(space, F, None, 300, 4) + directed_pairs(space, F)
+    samples = sample_comparable_pairs(space, F, 300, 4) + directed_pairs(space, F)
     assert len(samples) > 300
     for s in samples:
         got = (s.image_distance, s.rational_term, s.distance_sum)
@@ -97,10 +97,8 @@ def test_certify_evaluates_four_rows_per_sample_in_blocks(dim, count):
         return (x - y) / 4.0
 
     F = CoupledMap("counted", dim, evaluator, -np.ones(dim), np.ones(dim), batched=True)
-    report = certify_region(
-        SpaceDescriptor(dim=dim), F, ContractionParams(0.1, 0.5),
-        count=count, rng_seed=3, include_directed=False,
-    )
+    samples = sample_comparable_pairs(SpaceDescriptor(dim=dim), F, count, rng_seed=3)
+    report = evaluate_samples(ContractionParams(0.1, 0.5), samples)
     rows_per_block = max(1, BLOCK_FLOATS // dim)
     assert report.sample_count == count
     assert sum(calls) == 4 * count

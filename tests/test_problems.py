@@ -10,9 +10,9 @@ from coupledfp import (
     IterationConfig,
     Pair,
     build_problem,
-    certify_region,
     check_seed_condition,
     distance,
+    evaluate_samples,
     get_builtin,
     iterate,
     load_problem,
@@ -74,7 +74,7 @@ class TestIntegralDemo:
         # |F(x,y) - F(u,v)|_inf <= (1/4)(|x-u|_inf + |y-v|_inf), the bound
         # that makes beta = 1/2 certify with any small alpha
         space, F = integral.space, integral.map
-        samples = sample_comparable_pairs(space, F, None, 200, rng_seed=99)
+        samples = sample_comparable_pairs(space, F, 200, rng_seed=99)
         for s in samples:
             lhs = distance(
                 space, F.evaluate(s.a.first, s.a.second), F.evaluate(s.b.first, s.b.second)
@@ -156,10 +156,8 @@ class TestIntegralSharedProducts:
 
     def test_certify_runs_half_the_map_rows(self, kernel_rows):
         spec = get_builtin("integral_demo", 16)
-        certify_region(
-            spec.space, spec.map, ContractionParams(0.05, 0.5),
-            count=2500, rng_seed=3, include_directed=False,
-        )
+        samples = sample_comparable_pairs(spec.space, spec.map, 2500, rng_seed=3)
+        evaluate_samples(ContractionParams(0.05, 0.5), samples)
         assert sum(kernel_rows) == 2 * 2500
         assert len(kernel_rows) == 3  # blocks of 1024 samples
 
@@ -277,6 +275,6 @@ class TestBuildProblem:
 
 class TestSamplerOnBuiltins:
     def test_pairs_are_ordered(self, linear):
-        samples = sample_comparable_pairs(linear.space, linear.map, None, 100, 7)
+        samples = sample_comparable_pairs(linear.space, linear.map, 100, 7)
         for s in samples:
             assert product_leq(linear.space, s.b, s.a)

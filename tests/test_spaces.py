@@ -60,10 +60,6 @@ class TestSpaceDescriptor:
         with pytest.raises(InputError):
             SpaceDescriptor(dim=0)
 
-    def test_negative_slack(self):
-        with pytest.raises(InputError):
-            SpaceDescriptor(dim=1, order_slack=-0.1)
-
 
 class TestDistance:
     def test_euclidean_345(self):
@@ -101,11 +97,6 @@ class TestOrder:
         assert leq(space, [1.0, 2.0], [1.0, 3.0])
         assert not leq(space, [1.0, 2.0], [0.0, 5.0])
         assert leq(space, [1.0, 2.0], [1.0, 2.0])
-
-    def test_slack_widens(self):
-        space = SpaceDescriptor(dim=1, order_slack=0.5)
-        assert leq(space, [1.2], [1.0])
-        assert not leq(space, [1.6], [1.0])
 
     @settings(max_examples=200)
     @given(coords(), coords(), coords())
