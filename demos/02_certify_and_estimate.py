@@ -18,7 +18,8 @@ from coupledfp import (
     Pair,
     certify_region,
     estimate_params,
-    make_sample_pair,
+    evaluate_samples,
+    explicit_pairs,
     sample_comparable_pairs,
     get_builtin,
 )
@@ -43,8 +44,9 @@ print(f"  worst pair: a=({worst.a.first[0]:.3f}, {worst.a.second[0]:.3f}) "
 
 # violations hide near the set where the rational term vanishes; here is a
 # hand-checkable one: image distance 0.09 vs right side ~0.0722
-pinned = make_sample_pair(space, F, Pair([0.1], [-0.29]), Pair([0.01], [-0.02]))
-print(f"  hand-checkable pair margin at (0.1, 0.4): {pinned.margin(bad):.4f}")
+pinned = explicit_pairs(space, F, [(Pair([0.1], [-0.29]), Pair([0.01], [-0.02]))])
+margin = evaluate_samples(bad, pinned).worst_margin
+print(f"  hand-checkable pair margin at (0.1, 0.4): {margin:.4f}")
 
 # --- estimate the minimal ratio from samples alone ---------------------------
 samples = sample_comparable_pairs(space, F, 10_000, rng_seed=42)

@@ -37,7 +37,7 @@ result, trace = iterate(prob.space, prob.map, prob.seed.first, prob.seed.second,
 report = check_monotone_chain(prob.space, trace, result.fixed_pair)
 print(f"\nmonotone chain: {report.monotone_ok}, limit comparisons: {report.limit_ok}")
 
-mono = mixed_monotone_check(prob.space, prob.map, 1000, rng_seed=0)
+mono = mixed_monotone_check(prob.map, 1000, rng_seed=0)
 print(f"mixed monotonicity: {mono.violations} violations in {mono.sample_count} samples")
 
 # a long plain iteration agrees with the engine's stopped run

@@ -9,6 +9,7 @@ document drives the CLI:
 """
 
 import json
+import os
 import tempfile
 
 from coupledfp import (
@@ -18,7 +19,6 @@ from coupledfp import (
     load_problem,
     mixed_monotone_check,
     parse_expression,
-    serialize_expression,
 )
 
 # a 2-D map, contractive and mixed monotone on the box
@@ -37,7 +37,7 @@ config = {
 prob = build_problem(config)
 print(f"built: {prob.name}")
 
-mono = mixed_monotone_check(prob.space, prob.map, 500, rng_seed=8)
+mono = mixed_monotone_check(prob.map, 500, rng_seed=8)
 print(f"mixed monotonicity: {mono.violations} violations in {mono.sample_count} samples")
 
 result, _ = iterate(
@@ -51,11 +51,12 @@ print(f"components equal: {result.components_equal}")
 
 # expressions round-trip through their text form
 expr = parse_expression("(x1 - y1)/4", dim=1)
-print(f"\nparsed {'(x1 - y1)/4'!r} -> serialized {serialize_expression(expr)!r}")
+print(f"\nparsed {'(x1 - y1)/4'!r} -> serialized {str(expr)!r}")
 
 # the same config works from a file, as the CLI consumes it
 with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
     json.dump(config, fh)
     path = fh.name
 prob_again = load_problem(path)
+os.remove(path)
 print(f"reloaded from {path}: dim={prob_again.space.dim}")

@@ -18,7 +18,7 @@ from .certificate import (
     directed_pairs,
     estimate_params,
     evaluate_samples,
-    make_sample_pair,
+    explicit_pairs,
     sample_comparable_pairs,
 )
 from .errors import (
@@ -30,7 +30,7 @@ from .errors import (
     ExpressionError,
     InputError,
 )
-from .expressions import Expression, parse_expression, serialize_expression
+from .expressions import Expression, parse_expression
 from .iteration import (
     BridgeCheck,
     ChainReport,
@@ -54,7 +54,6 @@ from .maps import (
     MonotoneReport,
     contraction_margin,
     dass_gupta_margin,
-    eval_map,
     margin_terms,
     mixed_monotone_check,
     rational_min_term,
@@ -122,21 +121,19 @@ __all__ = [
     "directed_pairs",
     "distance",
     "estimate_params",
-    "eval_map",
     "evaluate_samples",
+    "explicit_pairs",
     "find_bridge",
     "get_builtin",
     "iterate",
     "leq",
     "load_problem",
-    "make_sample_pair",
     "margin_terms",
     "mixed_monotone_check",
     "parse_expression",
     "product_leq",
     "rational_min_term",
     "sample_comparable_pairs",
-    "serialize_expression",
     "uniqueness_probe",
     "verify_coupled_fixed_point",
 ]

@@ -7,15 +7,19 @@ worst, and (going the other way) search for the smallest geometric ratio
 r = beta / (1 - alpha) whose parameters survive all drawn samples. A clean
 report reads "not falsified at N samples, worst margin m" -- never "holds".
 
-Violations like to hide near thin sets where the rational term vanishes, so
-`certify_region` always mixes a deterministic family of directed pairs
-(diagonals, box extremes, short iteration segments, user-registered
-adversaries) into the uniform draw.
+Samples live in a `SampleSet`, one row per ordered pair of pairs, and
+scoring (`evaluate_samples`, `estimate_params`) takes nothing else. Three
+builders make one: `sample_comparable_pairs` (the uniform draw),
+`directed_pairs` (diagonals, box extremes and a short iteration walk) and
+`explicit_pairs` (hand-made pairs). Violations like to hide near thin sets
+where the rational term vanishes, so `certify_region` always mixes the
+directed family, and any user-registered adversaries, into the uniform draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,13 +38,12 @@ WALK_STEPS = 8
 
 @dataclass(frozen=True, eq=False)
 class SamplePair:
-    """One ordered pair of pairs with its cached inequality ingredients.
+    """One row of a `SampleSet`: an ordered pair of pairs and its terms.
 
     ``b <= a`` in the pair order always holds. ``image_distance`` is
     d(F(x,y), F(u,v)), ``rational_term`` the min rational quantity, and
-    ``distance_sum`` d(x,u) + d(y,v); together they determine the margin
-    alpha * rational_term + (beta/2) * distance_sum - image_distance for
-    any parameter choice.
+    ``distance_sum`` d(x,u) + d(y,v); `ContractionParams.margin` of the
+    three is the inequality's margin for any parameter choice.
     """
 
     a: Pair
@@ -48,9 +51,6 @@ class SamplePair:
     image_distance: float
     rational_term: float
     distance_sum: float
-
-    def margin(self, params: ContractionParams) -> float:
-        return params.margin(self.image_distance, self.rational_term, self.distance_sum)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,18 +114,18 @@ def _sample_set(
     return SampleSet(parts, *margin_terms(space, F, *stacks))
 
 
-def _explicit_pairs(space: SpaceDescriptor, F: CoupledMap, pairs) -> SampleSet:
-    """The SampleSet of given (a, b) pairs; each must have b <= a."""
+def explicit_pairs(
+    space: SpaceDescriptor, F: CoupledMap, pairs: list[tuple[Pair, Pair]]
+) -> SampleSet:
+    """The SampleSet of given (a, b) pairs, in order; each must have b <= a."""
     for a, b in pairs:
         if not product_leq(space, b, a):
             raise InputError("sample pairs require b <= a in the pair order")
+    if not pairs:
+        empty = np.empty((0, F.dim))
+        return _sample_set(space, F, empty, empty, empty, empty)
     stacks = zip(*((a.first, a.second, b.first, b.second) for a, b in pairs))
     return _sample_set(space, F, *(np.array(stack) for stack in stacks))
-
-
-def make_sample_pair(space: SpaceDescriptor, F: CoupledMap, a: Pair, b: Pair) -> SamplePair:
-    """Cache the margin ingredients for an ordered pair of pairs."""
-    return _explicit_pairs(space, F, [(a, b)])[0]
 
 
 def sample_comparable_pairs(
@@ -160,9 +160,8 @@ def directed_pairs(space: SpaceDescriptor, F: CoupledMap) -> SampleSet:
     the extreme ordered pair (top, bottom) vs (bottom, top) and its half-way
     variants, and WALK_STEPS consecutive iterates of a walk started from
     (bottom, top), whose rational term shrinks with the displacement.
-    Non-comparable candidates are silently skipped. The walk stops at its
-    first point outside the box, but keeps the pair ending there, whose
-    evaluation then fails if it is comparable.
+    Non-comparable candidates, and walk pairs whose new point left the box,
+    are silently skipped; the walk stops at its first point outside the box.
     """
     lo, hi = F.lower, F.upper
     mid = 0.5 * (lo + hi)
@@ -184,7 +183,10 @@ def directed_pairs(space: SpaceDescriptor, F: CoupledMap) -> SampleSet:
         pass  # walk left the box; keep what we have
 
     a_first, a_second, b_first, b_second = (np.array(s) for s in zip(*candidates))
-    keep = rows_leq(space, b_first, a_first) & rows_leq(space, a_second, b_second)
+    # Keep b <= a with a in the box. Every b is in the box, so b <= a already
+    # gives a_first >= lo and a_second <= hi.
+    keep = rows_leq(b_first, a_first) & rows_leq(a_second, b_second)
+    keep &= rows_leq(a_first, hi) & rows_leq(lo, a_second)
     return _sample_set(space, F, a_first[keep], a_second[keep], b_first[keep], b_second[keep])
 
 
@@ -223,30 +225,12 @@ class CertificateReport:
         }
 
 
-def _as_sample_set(samples: SampleSet | list[SamplePair]) -> SampleSet:
-    """A list of SamplePair as a SampleSet of its cached terms; a SampleSet as it is."""
-    if isinstance(samples, SampleSet):
-        return samples
-    stacks = zip(*((s.a.first, s.a.second, s.b.first, s.b.second) for s in samples))
-    parts = (tuple(np.array(stack) for stack in stacks),) if samples else ()
-    return SampleSet(
-        parts,
-        *(
-            np.array([getattr(s, name) for s in samples], dtype=float)
-            for name in ("image_distance", "rational_term", "distance_sum")
-        ),
-    )
-
-
-def evaluate_samples(
-    params: ContractionParams, samples: SampleSet | list[SamplePair]
-) -> CertificateReport:
+def evaluate_samples(params: ContractionParams, samples: SampleSet) -> CertificateReport:
     """Margins of a fixed sample set under one parameter choice.
 
     Aggregation is a count and a min, so it is order independent; the worst
     pair is the first sample with the least margin.
     """
-    samples = _as_sample_set(samples)
     margins = params.margin(samples.image_distance, samples.rational_term, samples.distance_sum)
     if len(margins):
         worst_idx = int(np.argmin(margins))
@@ -282,7 +266,7 @@ def certify_region(
     """
     samples = sample_comparable_pairs(space, F, count, rng_seed) + directed_pairs(space, F)
     if adversarial_pairs:
-        samples += _explicit_pairs(space, F, adversarial_pairs)
+        samples += explicit_pairs(space, F, adversarial_pairs)
     return evaluate_samples(params, samples)
 
 
@@ -299,7 +283,7 @@ class ParamEstimate:
     alpha: float | None
     beta: float | None
     sample_count: int
-    ratio_tol: float = RATIO_TOL
+    ratio_tol: ClassVar[float] = RATIO_TOL
 
     def to_jsonable(self) -> dict:
         return {
@@ -336,7 +320,7 @@ def _alpha_interval(r: float, samples: SampleSet) -> tuple[float, float]:
     return lo, hi
 
 
-def estimate_params(samples: SampleSet | list[SamplePair]) -> ParamEstimate:
+def estimate_params(samples: SampleSet) -> ParamEstimate:
     """Invert the contraction inequality: minimal ratio over the samples.
 
     The constraints are linear in (alpha, beta) and feasibility is monotone
@@ -347,7 +331,6 @@ def estimate_params(samples: SampleSet | list[SamplePair]) -> ParamEstimate:
     """
     if not len(samples):
         raise InputError("estimate_params needs at least one sample")
-    samples = _as_sample_set(samples)
 
     def feasible(r: float) -> bool:
         lo, hi = _alpha_interval(r, samples)

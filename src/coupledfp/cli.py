@@ -176,9 +176,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_check_monotone(args) -> int:
     problem = _load_problem(args)
-    report = mixed_monotone_check(
-        problem.space, problem.map, args.samples, args.rng_seed
-    )
+    report = mixed_monotone_check(problem.map, args.samples, args.rng_seed)
     payload = {
         "problem": problem.name,
         "sample_count": report.sample_count,

@@ -85,6 +85,7 @@ class Expression:
         raise NotImplementedError
 
     def to_text(self) -> str:
+        """Text form (also ``str``) that reparses to an expression with identical values."""
         raise NotImplementedError
 
     def __str__(self):
@@ -361,11 +362,6 @@ class _Parser:
 def parse_expression(text: str, dim: int) -> Expression:
     """Parse one scalar-valued expression over x1..xd, y1..yd."""
     return _Parser(text, dim).parse()
-
-
-def serialize_expression(expr: Expression) -> str:
-    """Text form that reparses to an evaluator with identical values."""
-    return expr.to_text()
 
 
 def evaluate_components(exprs: list[Expression], x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -220,7 +220,7 @@ def _run(
 
     try:
         f_xy, f_yx = _images(F, [(X, Y), (Y, X)])
-        seed_ok = rows_leq(space, X, f_xy) & rows_leq(space, f_yx, Y)
+        seed_ok = rows_leq(X, f_xy) & rows_leq(f_yx, Y)
     except DomainError:
         seed_ok = [check_seed_condition(space, F, x, y) for x, y in points]
 
@@ -422,10 +422,10 @@ class UniquenessReport:
     tol: float
 
 
-def _rows_comparable(space: SpaceDescriptor, z1, z2, p1, p2) -> np.ndarray:
+def _rows_comparable(z1, z2, p1, p2) -> np.ndarray:
     """`comparable` of the pairs (z1[k], z2[k]) and (p1[k], p2[k]), per row."""
-    below = rows_leq(space, z1, p1) & rows_leq(space, p2, z2)
-    above = rows_leq(space, p1, z1) & rows_leq(space, z2, p2)
+    below = rows_leq(z1, p1) & rows_leq(p2, z2)
+    above = rows_leq(p1, z1) & rows_leq(z2, p2)
     return below | above
 
 
@@ -465,9 +465,7 @@ def uniqueness_probe(
     dist = np.maximum(row_distances(space, X[a], X[b]), row_distances(space, Y[a], Y[b]))
     max_dist = float(dist.max()) if dist.size else None
     z1, z2 = np.maximum(X[a], X[b]), np.minimum(Y[a], Y[b])
-    both = _rows_comparable(space, z1, z2, X[a], Y[a]) & _rows_comparable(
-        space, z1, z2, X[b], Y[b]
-    )
+    both = _rows_comparable(z1, z2, X[a], Y[a]) & _rows_comparable(z1, z2, X[b], Y[b])
     bridges = [
         BridgeCheck(limits[i], limits[j], Pair(p, q), bool(ok))
         for i, j, p, q, ok in zip(a, b, z1, z2, both)

@@ -56,7 +56,7 @@ class ContractionParams:
             warnings.warn(
                 "alpha = 0 is the degenerate limit of the contraction hypothesis",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
@@ -186,11 +186,6 @@ class CoupledMap:
         if good < len(X):
             self._check_args(X[good], Y[good], padding)  # raises for this row
         return out
-
-
-def eval_map(F: CoupledMap, x, y) -> np.ndarray:
-    """F(x, y) with the strict domain check."""
-    return F.evaluate(x, y)
 
 
 def _sample_blocks(n: int, dim: int, images: int):
@@ -353,12 +348,7 @@ class MonotoneReport:
         return self.violations > 0
 
 
-def mixed_monotone_check(
-    space: SpaceDescriptor,
-    F: CoupledMap,
-    sample_count: int,
-    rng_seed: int,
-) -> MonotoneReport:
+def mixed_monotone_check(F: CoupledMap, sample_count: int, rng_seed: int) -> MonotoneReport:
     """Sample the mixed-monotone property on the map's domain box.
 
     Each sample draws an ordered first-argument triple (x1 <= x2, y) and an

@@ -56,9 +56,6 @@ class Pair:
     def dim(self) -> int:
         return self.first.size
 
-    def swapped(self) -> "Pair":
-        return Pair(self.second, self.first)
-
     def __repr__(self):
         return f"Pair({self.first.tolist()}, {self.second.tolist()})"
 
@@ -120,7 +117,7 @@ def leq(space: SpaceDescriptor, p, q) -> bool:
     return bool(np.all(p <= q))
 
 
-def rows_leq(space: SpaceDescriptor, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+def rows_leq(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """`leq` of each row of P with the matching row of Q, as a bool array."""
     return np.all(P <= Q, axis=1)
 

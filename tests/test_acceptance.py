@@ -14,7 +14,6 @@ from coupledfp import (
     CoupledMap,
     IterationConfig,
     Pair,
-    SpaceDescriptor,
     apriori_gap_bound,
     apriori_iteration_count,
     certify_region,
@@ -23,10 +22,11 @@ from coupledfp import (
     dass_gupta_margin,
     distance,
     estimate_params,
+    evaluate_samples,
+    explicit_pairs,
     get_builtin,
     iterate,
     leq,
-    make_sample_pair,
     mixed_monotone_check,
     sample_comparable_pairs,
     uniqueness_probe,
@@ -123,8 +123,8 @@ def test_criterion_04_certificates():
         assert bad.worst_margin <= -0.015
         # the registered pair is itself a hand-computable violation:
         # image distance 0.09 vs right side ~0.0722
-        pinned = make_sample_pair(prob.space, prob.map, *adversarial)
-        assert pinned.margin(ContractionParams(0.1, 0.4)) <= -0.015
+        pinned = explicit_pairs(prob.space, prob.map, [adversarial])
+        assert evaluate_samples(ContractionParams(0.1, 0.4), pinned).worst_margin <= -0.015
 
 
 def test_criterion_05_estimate_against_grid_oracle():
@@ -223,15 +223,14 @@ def test_criterion_09_apriori_count_soundness():
 
 def test_criterion_10_mixed_monotone_falsification():
     with criterion(10, "monotone check: falsifies x*y, clears every builtin"):
-        space = SpaceDescriptor(dim=1)
         product_map = CoupledMap(
             "product", 1, lambda x, y: x * y, lower=[-1.0], upper=[1.0]
         )
-        report = mixed_monotone_check(space, product_map, 1000, rng_seed=99)
+        report = mixed_monotone_check(product_map, 1000, rng_seed=99)
         assert report.falsified
         assert report.violations >= 1
 
         for name in ("linear_demo", "affine_demo", "integral_demo"):
             prob = get_builtin(name)
-            clean = mixed_monotone_check(prob.space, prob.map, 1000, rng_seed=99)
+            clean = mixed_monotone_check(prob.map, 1000, rng_seed=99)
             assert clean.violations == 0, name

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -15,13 +16,18 @@ from coupledfp import (
     distance,
     estimate_params,
     evaluate_samples,
-    make_sample_pair,
+    explicit_pairs,
+    load_problem,
     product_leq,
     rational_min_term,
     sample_comparable_pairs,
 )
+from coupledfp.cli import main
 
 ADVERSARIAL = (Pair([0.1], [-0.29]), Pair([0.01], [-0.02]))
+# -2*x1 + 2*y1 on [-1, 1]: the directed walk from (-1, 1) leaves the box at
+# its first step, to (4, -4).
+EXPR_FLIP = os.path.join(os.path.dirname(__file__), "data", "configs", "expr_flip.json")
 
 
 def grid_minimal_ratio(samples, resolution=1e-3):
@@ -78,8 +84,9 @@ class TestSampler:
         for s in samples:
             assert np.array_equal(s.a.first, s.b.first)
             assert s.distance_sum == 0.0
-            assert s.margin(params) == params.alpha * s.rational_term
-            assert s.margin(params) >= 0
+            margin = params.margin(s.image_distance, s.rational_term, s.distance_sum)
+            assert margin == params.alpha * s.rational_term
+            assert margin >= 0
 
     def test_cached_values_match_fresh(self, linear, rng):
         samples = sample_comparable_pairs(linear.space, linear.map, 100, 21)
@@ -98,7 +105,35 @@ class TestSampler:
 
     def test_rejects_unordered_pair(self, linear):
         with pytest.raises(InputError):
-            make_sample_pair(linear.space, linear.map, Pair([-1.0], [1.0]), Pair([0.0], [0.0]))
+            explicit_pairs(linear.space, linear.map, [(Pair([-1.0], [1.0]), Pair([0.0], [0.0]))])
+
+    def test_no_pairs_give_the_empty_set(self, linear):
+        samples = explicit_pairs(linear.space, linear.map, [])
+        assert len(samples) == 0
+        report = evaluate_samples(ContractionParams(0.1, 0.5), samples)
+        assert report.sample_count == 0
+        assert report.violations == 0
+        assert report.worst_margin is None
+        assert report.min_margin_pair is None
+        with pytest.raises(InputError):
+            estimate_params(samples)
+
+
+class TestDirected:
+    def test_walk_drops_pairs_that_left_the_box(self):
+        prob = load_problem(EXPR_FLIP)
+        F = prob.map
+        samples = directed_pairs(prob.space, F)
+        assert len(samples) > 0
+        for s in samples:
+            assert F.contains(s.a.first) and F.contains(s.a.second)
+
+    def test_certify_on_walk_leaving_box_is_a_finding(self, capsys):
+        code = main(["certify", "--config", EXPR_FLIP, "--samples", "100"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "outside the domain box" not in err
+        assert "samples evaluated: 112" in out
 
 
 class TestCertify:
@@ -110,8 +145,8 @@ class TestCertify:
         assert report.worst_margin >= 0.0
 
     def test_linear_bad_params_falsified_by_adversarial_pair(self, linear):
-        pair = make_sample_pair(linear.space, linear.map, *ADVERSARIAL)
-        report = evaluate_samples(ContractionParams(0.1, 0.4), [pair])
+        pair = explicit_pairs(linear.space, linear.map, [ADVERSARIAL])
+        report = evaluate_samples(ContractionParams(0.1, 0.4), pair)
         assert report.sample_count == 1
         assert report.violations == 1
         assert report.worst_margin <= -0.015
@@ -174,9 +209,9 @@ class TestCertify:
 
 
 class TestEstimate:
-    def test_empty_rejected(self):
+    def test_empty_rejected(self, linear):
         with pytest.raises(InputError):
-            estimate_params([])
+            estimate_params(sample_comparable_pairs(linear.space, linear.map, 0, 1))
 
     def test_linear_demo_ratio_near_half(self, linear):
         samples = sample_comparable_pairs(linear.space, linear.map, 10_000, 42)
@@ -209,17 +244,17 @@ class TestEstimate:
         # 2 <= beta/2 * 1, impossible with beta < 1
         space = SpaceDescriptor(dim=1)
         F = CoupledMap("expand", 1, lambda x, y: 2.0 * x, [-1.0], [1.0])
-        witness = make_sample_pair(space, F, Pair([1.0], [0.0]), Pair([0.0], [0.0]))
-        assert witness.image_distance == 2.0
-        assert witness.rational_term == 0.0
-        assert witness.distance_sum == 1.0
-        estimate = estimate_params([witness])
+        witness = explicit_pairs(space, F, [(Pair([1.0], [0.0]), Pair([0.0], [0.0]))])
+        assert witness[0].image_distance == 2.0
+        assert witness[0].rational_term == 0.0
+        assert witness[0].distance_sum == 1.0
+        estimate = estimate_params(witness)
         assert not estimate.feasible
 
     def test_single_zero_sample_hits_floor(self, linear):
-        s = make_sample_pair(linear.space, linear.map, Pair([0.0], [0.0]), Pair([0.0], [0.0]))
-        assert s.image_distance == 0.0
-        estimate = estimate_params([s])
+        s = explicit_pairs(linear.space, linear.map, [(Pair([0.0], [0.0]), Pair([0.0], [0.0]))])
+        assert s[0].image_distance == 0.0
+        estimate = estimate_params(s)
         assert estimate.feasible
         assert estimate.ratio <= 2e-6  # bisection floor
         assert estimate.beta > 0

@@ -52,7 +52,7 @@ def first_reference_error(space, F, stacks):
     return None
 
 
-def reference_monotone(space, F, sample_count, rng_seed):
+def reference_monotone(F, sample_count, rng_seed):
     rng = np.random.default_rng(rng_seed)
     draws = rng.uniform(F.lower, F.upper, size=(sample_count, 6, F.dim))
     violations, worst_excess, worst = 0, 0.0, None
@@ -178,9 +178,8 @@ MONOTONE_MAPS = [
 @pytest.mark.parametrize("seed", [6, 7, 8])
 @pytest.mark.parametrize("F", MONOTONE_MAPS, ids=lambda F: F.name)
 def test_mixed_monotone_check_matches_loop_reference(F, seed):
-    space = SpaceDescriptor(dim=F.dim)
-    report = mixed_monotone_check(space, F, 500, rng_seed=seed)
-    violations, worst_excess, worst = reference_monotone(space, F, 500, seed)
+    report = mixed_monotone_check(F, 500, rng_seed=seed)
+    violations, worst_excess, worst = reference_monotone(F, 500, seed)
     assert report.violations == violations > 0
     assert report.worst_excess == worst_excess
     w = report.worst_witness

@@ -11,7 +11,6 @@ from coupledfp import (
     SpaceDescriptor,
     contraction_margin,
     dass_gupta_margin,
-    eval_map,
     mixed_monotone_check,
     rational_min_term,
 )
@@ -42,18 +41,23 @@ class TestContractionParams:
             params = ContractionParams(0.0, 0.5)
         assert params.ratio == 0.5
 
+    def test_alpha_zero_warning_names_caller(self):
+        with pytest.warns(UserWarning) as record:
+            ContractionParams(0.0, 0.5)
+        assert record[0].filename == __file__
+
 
 class TestEvalMap:
     def test_linear_demo_values(self, linear):
-        assert eval_map(linear.map, [-1.0], [1.0])[0] == -0.5
-        assert eval_map(linear.map, [0.0], [0.0])[0] == 0.0
+        assert linear.map.evaluate([-1.0], [1.0])[0] == -0.5
+        assert linear.map.evaluate([0.0], [0.0])[0] == 0.0
 
     def test_affine_demo_value(self, affine):
-        assert eval_map(affine.map, [0.0], [3.0])[0] == pytest.approx(0.25, abs=1e-15)
+        assert affine.map.evaluate([0.0], [3.0])[0] == pytest.approx(0.25, abs=1e-15)
 
     def test_out_of_domain(self, linear):
         with pytest.raises(DomainError):
-            eval_map(linear.map, [5.0], [0.0])
+            linear.map.evaluate([5.0], [0.0])
 
     def test_empty_box_rejected(self):
         with pytest.raises(InputError):
@@ -209,33 +213,31 @@ class TestDassGupta:
 
 class TestMixedMonotone:
     def test_linear_not_falsified(self, linear):
-        report = mixed_monotone_check(linear.space, linear.map, 1000, rng_seed=11)
+        report = mixed_monotone_check(linear.map, 1000, rng_seed=11)
         assert report.violations == 0
         assert not report.falsified
         assert report.worst_excess == 0.0
 
     def test_product_map_falsified(self):
-        space = SpaceDescriptor(dim=1)
         F = CoupledMap("xy", 1, lambda x, y: x * y, lower=[-1.0], upper=[1.0])
-        report = mixed_monotone_check(space, F, 1000, rng_seed=11)
+        report = mixed_monotone_check(F, 1000, rng_seed=11)
         assert report.falsified
         assert report.worst_excess > 0
         assert report.worst_witness is not None
 
     def test_constant_map_not_falsified(self):
-        space = SpaceDescriptor(dim=2)
         F = CoupledMap(
             "const", 2, lambda x, y: np.zeros(2), lower=[-1.0, -1.0], upper=[1.0, 1.0]
         )
-        report = mixed_monotone_check(space, F, 300, rng_seed=5)
+        report = mixed_monotone_check(F, 300, rng_seed=5)
         assert report.violations == 0
 
     def test_deterministic_given_seed(self, linear):
-        first = mixed_monotone_check(linear.space, linear.map, 200, rng_seed=3)
-        second = mixed_monotone_check(linear.space, linear.map, 200, rng_seed=3)
+        first = mixed_monotone_check(linear.map, 200, rng_seed=3)
+        second = mixed_monotone_check(linear.map, 200, rng_seed=3)
         assert first.violations == second.violations
         assert first.worst_excess == second.worst_excess
 
     def test_sample_count_validated(self, linear):
         with pytest.raises(InputError):
-            mixed_monotone_check(linear.space, linear.map, 0, rng_seed=1)
+            mixed_monotone_check(linear.map, 0, rng_seed=1)

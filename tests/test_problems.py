@@ -56,7 +56,7 @@ class TestCatalog:
     def test_no_builtin_falsified(self):
         for name in BUILTINS:
             prob = get_builtin(name)
-            report = mixed_monotone_check(prob.space, prob.map, 1000, rng_seed=2024)
+            report = mixed_monotone_check(prob.map, 1000, rng_seed=2024)
             assert report.violations == 0, name
 
 
@@ -180,7 +180,7 @@ class TestIntegralSharedProducts:
 
     def test_monotone_check_shares_nothing(self, kernel_rows):
         spec = get_builtin("integral_demo", 16)
-        mixed_monotone_check(spec.space, spec.map, sample_count=300, rng_seed=5)
+        mixed_monotone_check(spec.map, sample_count=300, rng_seed=5)
         assert kernel_rows == [4 * 300]
 
 
