@@ -47,9 +47,31 @@ def _vec(arr: np.ndarray) -> str:
     return "[" + ", ".join(_fmt(c) for c in arr) + "]"
 
 
+def _dumps(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for str-keyed payloads.
+
+    ``indent=2`` makes json run its pure-Python encoder on every leaf. Here
+    each leaf, and each list of plain floats and ints as a whole, goes
+    through the C encoder instead; floats print as ``float.__repr__`` either
+    way, so the text is the same.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{json.dumps(k)}: {_dumps(value[k], inner)}" for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        if {float, int}.issuperset(map(type, value)):
+            # A number's text holds no ", ", so this splits at separators only.
+            items = json.dumps(value)[1:-1].split(", ")
+        else:
+            items = [_dumps(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(value)
+
+
 def _emit(args, human_lines, payload) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload))
     else:
         for line in human_lines:
             print(line)
@@ -89,8 +111,11 @@ def _cmd_solve(args) -> int:
         problem.space, problem.map, problem.seed.first, problem.seed.second, config
     )
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            trace.write_csv(fh)
+        try:
+            with open(args.trace, "w", encoding="utf-8") as fh:
+                trace.write_csv(fh)
+        except OSError as exc:
+            raise InputError(f"cannot write trace {args.trace}: {exc.strerror}") from exc
     payload = {
         "problem": problem.name,
         "converged": result.converged,
@@ -321,6 +346,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "rng_seed", 0) < 0:
+            raise InputError(f"--rng-seed must be >= 0, got {args.rng_seed}")
         return args.handler(args)
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)

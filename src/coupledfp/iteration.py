@@ -48,9 +48,10 @@ class IterationConfig:
     When ``params`` is present the stopping rule is the a-posteriori
     geometric tail  max(gap_x, gap_y) * r / (1 - r) <= tol, a sound bound
     on the distance from the newest iterate to the limit; without params it
-    falls back to max(gap_x, gap_y) <= tol. ``tol`` also drives the
-    component-equality flag (see SolveResult). `iterate` always records its
-    trace, one entry per step.
+    falls back to max(gap_x, gap_y) <= tol. ``tol`` must be finite and > 0:
+    an infinite one would stop every run after one step. ``tol`` also
+    drives the component-equality flag (see SolveResult). `iterate` always
+    records its trace, one entry per step.
     """
 
     max_iter: int = 200
@@ -60,8 +61,8 @@ class IterationConfig:
     def __post_init__(self):
         if not isinstance(self.max_iter, int) or self.max_iter < 1:
             raise InputError(f"max_iter must be a positive integer, got {self.max_iter!r}")
-        if not (float(self.tol) > 0):
-            raise InputError(f"tol must be > 0, got {self.tol!r}")
+        if not (0 < float(self.tol) < math.inf):
+            raise InputError(f"tol must be finite and > 0, got {self.tol!r}")
 
 
 class TraceEntry(NamedTuple):
@@ -204,9 +205,12 @@ def _run(
     the images of every seed still running in one `evaluate_rows` call, and
     each seed stops on its own stopping rule and is then frozen. Returns one
     SolveResult or None per seed and, for a seed that diverged, the
-    DivergenceError its run raised. A seed check that fails is redone seed
-    by seed with `check_seed_condition`, whose DomainError for a seed outside
-    the box propagates. ``trace`` records the steps of a one-seed run.
+    DivergenceError its run raised. The stacked seed check's images are
+    also step 0's, so step 0 makes no call of its own. A seed check that
+    fails is redone seed by seed with `check_seed_condition`, whose
+    DomainError for a seed outside the box propagates, and step 0 is then
+    evaluated as any other step. ``trace`` records the steps of a one-seed
+    run.
     """
     tol = config.tol
     ratio = config.params.ratio if config.params is not None else None
@@ -218,18 +222,25 @@ def _run(
             f"point of dimension {F.dim} in a space of dimension {space.dim}"
         )
 
-    try:
-        f_xy, f_yx = _images(F, [(X, Y), (Y, X)])
-        seed_ok = rows_leq(X, f_xy) & rows_leq(f_yx, Y)
-    except DomainError:
-        seed_ok = [check_seed_condition(space, F, x, y) for x, y in points]
-
     errors: list[DivergenceError | None] = [None] * len(seeds)
     iterations = np.zeros(len(seeds), dtype=int)
     stopped = np.zeros(len(seeds), dtype=bool)
     live = np.arange(len(seeds))
+    try:
+        f_xy, f_yx = _images(F, [(X, Y), (Y, X)])
+    except DomainError:
+        seed_ok = [check_seed_condition(space, F, x, y) for x, y in points]
+        step = _padded_images(F, live, X, Y, errors, "iteration")
+    else:
+        seed_ok = rows_leq(X, f_xy) & rows_leq(f_yx, Y)
+        # Every seed lies in the strict box, so inside the padded one too:
+        # these are step 0's images.
+        step = live, X.copy(), Y.copy(), f_xy, f_yx
+
     for n in range(config.max_iter):
-        live, x, y, x_next, y_next = _padded_images(F, live, X, Y, errors, "iteration")
+        if n:
+            step = _padded_images(F, live, X, Y, errors, "iteration")
+        live, x, y, x_next, y_next = step
         gap_x, gap_y = row_distances(space, x_next, x), row_distances(space, y_next, y)
         if trace is not None and live.size:
             gap_x0, gap_y0 = float(gap_x[0]), float(gap_y[0])

@@ -150,8 +150,8 @@ class CoupledMap:
             raise DomainError(
                 f"map {self.name!r} returned shape {out.shape}, expected {X.shape}"
             )
-        finite = np.all(np.isfinite(out), axis=1)
-        if not finite.all():
+        if not np.isfinite(out).all():
+            finite = np.all(np.isfinite(out), axis=1)
             self._check_image(out[np.argmin(finite)])  # raises for that row
         return out
 
@@ -175,8 +175,12 @@ class CoupledMap:
                 f"expected two (n, {self.dim}) stacks, got {X.shape} and {Y.shape}"
             )
         lo, hi = self._bounds(padding)
-        inside = np.all((X >= lo) & (X <= hi), axis=1) & np.all((Y >= lo) & (Y <= hi), axis=1)
-        good = len(X) if inside.all() else int(np.argmin(inside))
+        # The whole stack is checked first; row masks are built only to name
+        # the first bad row.
+        good = len(X)
+        if not ((X >= lo).all() and (X <= hi).all() and (Y >= lo).all() and (Y <= hi).all()):
+            inside = np.all((X >= lo) & (X <= hi), axis=1) & np.all((Y >= lo) & (Y <= hi), axis=1)
+            good = int(np.argmin(inside))
         if self.batched:
             out = self._evaluate_stack(X[:good], Y[:good])
         else:

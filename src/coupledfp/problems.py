@@ -155,7 +155,11 @@ def integral_demo(n_nodes: int = 16) -> ProblemSpec:
     if n_nodes < 1:
         raise InputError(f"integral_demo needs n_nodes >= 1, got {n_nodes}")
     nodes = np.arange(n_nodes) / n_nodes
-    kernel = np.exp(-np.abs(nodes[:, None] - nodes[None, :]))
+    # exp(-|t_i - t_j|), built in one N x N buffer.
+    kernel = np.subtract.outer(nodes, nodes)
+    np.abs(kernel, out=kernel)
+    np.negative(kernel, out=kernel)
+    np.exp(kernel, out=kernel)
     scale = 1.0 / (4.0 * n_nodes)
 
     def squash(v: np.ndarray) -> np.ndarray:

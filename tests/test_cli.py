@@ -1,18 +1,23 @@
+import glob
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from coupledfp import InputError
-from coupledfp.cli import main
+from coupledfp.cli import _dumps, main
 from coupledfp.parallel import worker_cap
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 BOX_EDGE = os.path.join(DATA, "configs", "box_edge.json")
 DEGENERATE_BOX = os.path.join(DATA, "configs", "degenerate_box.json")
+CONFIGS = sorted(glob.glob(os.path.join(DATA, "configs", "*.json")))
 sys.path.insert(0, DATA)
 import make_cli_golden  # noqa: E402
 
@@ -85,6 +90,22 @@ class TestSolve:
         lines = path.read_text().splitlines()
         assert lines[0] == "n,x_0,y_0,gap_x,gap_y,bound"
         assert len(lines) > 2
+
+    def test_unwritable_trace_exit_one(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "t.csv"
+        code, out, err = run_cli(
+            capsys, "solve", "--problem", "linear_demo", "--trace", str(path)
+        )
+        assert code == 1
+        assert err.startswith(f"error: cannot write trace {path}: ")
+        assert out == ""
+
+    def test_infinite_tol_exit_one(self, capsys):
+        # an infinite tol would report convergence after one step
+        code, out, err = run_cli(capsys, "solve", "--problem", "linear_demo", "--tol", "inf")
+        assert code == 1
+        assert err == "error: tol must be finite and > 0, got inf\n"
+        assert out == ""
 
     def test_json_output(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--problem", "affine_demo", "--json")
@@ -262,6 +283,67 @@ class TestListBuiltins:
         assert code == 0
         doc = json.loads(out)
         assert [d["name"] for d in doc] == ["affine_demo", "integral_demo", "linear_demo"]
+
+
+class TestRngSeed:
+    @pytest.mark.parametrize(
+        "command", ["certify", "estimate", "check-monotone", "probe-uniqueness"]
+    )
+    def test_negative_exit_one(self, capsys, command):
+        code, out, err = run_cli(
+            capsys, command, "--problem", "linear_demo", "--samples", "5", "--rng-seed", "-1"
+        )
+        assert code == 1
+        assert err == "error: --rng-seed must be >= 0, got -1\n"
+        assert out == ""
+
+
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
+    | st.text()
+)
+json_payloads = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+class TestJsonEncoder:
+    @given(json_payloads)
+    @example({"c, d": ["a, b", 1.0, True]})
+    def test_matches_indented_sorted_dumps(self, payload):
+        assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+    @given(st.lists(st.floats() | st.integers(), min_size=1), st.integers(0, 3))
+    def test_number_lists_at_any_depth(self, numbers, depth):
+        payload = numbers
+        for _ in range(depth):
+            payload = {"k": [payload, None]}
+        assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve"],
+            ["certify", "--samples", "20", "--alpha", "0.05", "--beta", "0.5"],
+            ["estimate", "--samples", "20"],
+            ["check-monotone", "--samples", "20"],
+            ["probe-uniqueness"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("config", CONFIGS, ids=os.path.basename)
+    def test_cli_output_is_indented_sorted_json(self, capsys, argv, config):
+        code, out, _ = run_cli(capsys, *argv, "--config", config, "--json")
+        if code == 1:  # an input error prints nothing on stdout
+            assert out == ""
+        else:
+            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 class TestUsageErrors:

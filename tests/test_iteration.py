@@ -258,11 +258,24 @@ class TestIterate:
         with pytest.raises(DivergenceError):
             iterate(space, F, [0.5], [0.5], IterationConfig(max_iter=50, tol=1e-8))
 
-    def test_one_stacked_call_per_step(self, linear, calls):
-        config = IterationConfig(max_iter=200, tol=1e-10, params=PARAMS_LINEAR)
-        result, _ = iterate(linear.space, linear.map, linear.seed.first, linear.seed.second, config)
-        assert result.converged
-        assert calls["evaluate_rows"] <= result.iterations_used + 2
+    @pytest.mark.parametrize(
+        "load",
+        [
+            lambda: get_builtin("linear_demo"),
+            lambda: get_builtin("integral_demo", 16),
+            lambda: load_problem(os.path.join(CONFIGS, "expr_4d.json")),
+        ],
+        ids=["linear", "integral_16", "expr_4d"],
+    )
+    @pytest.mark.parametrize("max_iter", [1, 3, 200])
+    def test_one_stacked_call_per_step(self, calls, load, max_iter):
+        # the seed check's call also gives step 0's images; one more call
+        # per further step and one for the final check
+        prob = load()
+        config = IterationConfig(max_iter=max_iter, tol=1e-10)
+        result, _ = iterate(prob.space, prob.map, prob.seed.first, prob.seed.second, config)
+        assert result.iterations_used == max_iter or result.converged
+        assert calls["evaluate_rows"] == result.iterations_used + 1
         assert calls["evaluate"] == 0
 
     def test_config_validation(self):
@@ -270,6 +283,11 @@ class TestIterate:
             IterationConfig(max_iter=0)
         with pytest.raises(InputError):
             IterationConfig(tol=0.0)
+
+    @pytest.mark.parametrize("tol", [-1.0, math.inf, math.nan])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(InputError, match="tol must be finite and > 0"):
+            IterationConfig(tol=tol)
 
 
 class TestPerStepContraction:

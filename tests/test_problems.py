@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -138,6 +139,13 @@ class TestIntegralSharedProducts:
     """One kernel product per distinct row of s(x) - s(y) up to sign, bit for bit."""
 
     @pytest.mark.parametrize("n", [1, 3, 16, 37, 1024])
+    def test_kernel_built_in_place_matches_reference(self, n):
+        evaluator = get_builtin("integral_demo", n).map.evaluator
+        kernel = inspect.getclosurevars(evaluator).nonlocals["kernel"]
+        t = np.arange(n) / n
+        assert kernel.tobytes() == np.exp(-np.abs(t[:, None] - t[None, :])).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3, 16, 37, 1024])
     def test_stacks_match_per_row_reference(self, n):
         F = get_builtin("integral_demo", n).map
         rng = np.random.default_rng(n)
@@ -175,8 +183,9 @@ class TestIntegralSharedProducts:
             else:
                 uniqueness_probe(spec.space, spec.map, pairs, config)
             totals.append(sum(kernel_rows))
-        # seed check + max_iter steps + final iterate, one row each per seed
-        assert totals == [3 * seeds, 6 * seeds]
+        # seed check (whose images are step 0's) + max_iter - 1 further
+        # steps + final iterate, one row each per seed
+        assert totals == [2 * seeds, 5 * seeds]
 
     def test_monotone_check_shares_nothing(self, kernel_rows):
         spec = get_builtin("integral_demo", 16)
