@@ -32,7 +32,6 @@ from .errors import (
 )
 from .expressions import Expression, parse_expression
 from .iteration import (
-    BridgeCheck,
     ChainReport,
     IterationConfig,
     IterationTrace,
@@ -81,7 +80,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BUILTINS",
-    "BridgeCheck",
     "CertificateReport",
     "ChainReport",
     "ComparabilityError",

@@ -146,6 +146,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    if args.samples < 1:
+        raise InputError("certify needs --samples >= 1")
     problem = _load_problem(args)
     params = _params_from(args, problem, required=True)
     report = certify_region(
@@ -241,7 +243,7 @@ def _cmd_probe_uniqueness(args) -> int:
         "seeds": len(seeds),
         "all_agree": report.all_agree,
         "max_pairwise_distance": report.max_pairwise_distance,
-        "bridges_comparable": all(b.comparable_to_both for b in report.bridges),
+        "bridges_comparable": report.bridge_comparable,
         "runs": [
             {
                 "seed_x0": r.seed.first.tolist(),
@@ -268,7 +270,7 @@ def _cmd_probe_uniqueness(args) -> int:
         lines.append(f"max pairwise limit distance: {_fmt(report.max_pairwise_distance)}")
     lines.append(
         f"bridge pairs comparable to both limits: "
-        f"{str(all(b.comparable_to_both for b in report.bridges)).lower()}"
+        f"{str(report.bridge_comparable).lower()}"
     )
     lines.append(
         "limits agree within tol"
@@ -299,11 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="coupledfp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_params=True, samples_default=None):
+    def add_common(p, with_params=True, samples_default=None, iterates=False):
         p.add_argument("--problem", help="builtin problem name")
         p.add_argument("--config", help="path to a JSON problem config")
-        p.add_argument("--tol", type=float, default=1e-10, help="target residual")
-        p.add_argument("--max-iter", type=int, default=200, help="iteration budget")
+        if iterates:
+            p.add_argument("--tol", type=float, default=1e-10, help="target residual")
+            p.add_argument("--max-iter", type=int, default=200, help="iteration budget")
         if with_params:
             p.add_argument("--alpha", type=float, default=None)
             p.add_argument("--beta", type=float, default=None)
@@ -313,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p_solve = sub.add_parser("solve", help="run the coupled iteration")
-    add_common(p_solve)
+    add_common(p_solve, iterates=True)
     p_solve.add_argument("--trace", help="write the iteration trace CSV here")
     p_solve.set_defaults(handler=_cmd_solve)
 
@@ -332,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe = sub.add_parser(
         "probe-uniqueness", help="iterate from several seeds and compare limits"
     )
-    add_common(p_probe, samples_default=3)
+    add_common(p_probe, samples_default=3, iterates=True)
     p_probe.set_defaults(handler=_cmd_probe_uniqueness)
 
     p_list = sub.add_parser("list-builtins", help="show the builtin catalog")

@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence, TextIO
 import numpy as np
 
 from .errors import DimensionMismatchError, DivergenceError, DomainError, InputError
-from .maps import ContractionParams, CoupledMap, _images
+from .maps import ContractionParams, CoupledMap
 from .spaces import (
     Pair,
     SpaceDescriptor,
@@ -164,32 +164,34 @@ def verify_coupled_fixed_point(
     return residual <= tol, residual
 
 
-def _padded_images(F: CoupledMap, live: np.ndarray, X, Y, errors: list, what: str):
-    """F(x, y) and F(y, x) in the padded box, for x = X[live] and y = Y[live].
+def _step_images(F: CoupledMap, live: np.ndarray, xyx: np.ndarray, errors: list, what: str):
+    """F(x, y) over F(y, x) in the padded box, for the seeds ``live``.
 
-    One stacked call. If it raises DomainError, each seed is redone as its
-    own call: a seed whose call fails gets a DivergenceError saying that its
-    ``what`` escaped the padded box, chained from the DomainError, and is
-    dropped. Returns the seeds kept, their rows x, y and the two images.
+    ``xyx`` is the (3m, dim) stack [x; y; x] of their rows, so that
+    cur = [x; y] and swapped = [y; x] are its first and last 2m rows and
+    one call evaluates both images of every seed. If that call raises
+    DomainError, each seed is redone as its own two-row call: a seed whose
+    call fails gets a DivergenceError saying that its ``what`` escaped the
+    padded box, chained from the DomainError, and is dropped. Returns the
+    seeds kept, their stack and its (2m, dim) images. These may be the
+    evaluator's own output buffer, which its next call can overwrite.
     """
-    x, y = X[live], Y[live]
+    m = len(live)
     try:
-        return (live, x, y, *_images(F, [(x, y), (y, x)], DIVERGENCE_PADDING))
+        return live, xyx, F.evaluate_rows(xyx[: 2 * m], xyx[m:], DIVERGENCE_PADDING)
     except DomainError:
         pass
-    kept, images = [], []
-    for k in range(len(live)):
-        xk, yk = x[k : k + 1], y[k : k + 1]
+    img = np.empty((2, m, F.dim))
+    kept = np.ones(m, dtype=bool)
+    for k in range(m):
         try:
-            images.append(_images(F, [(xk, yk), (yk, xk)], DIVERGENCE_PADDING))
+            img[:, k] = F.evaluate_rows(xyx[[k, m + k]], xyx[[m + k, k]], DIVERGENCE_PADDING)
         except DomainError as exc:
             error = DivergenceError(f"{what} escaped the padded domain box: {exc}")
             error.__cause__ = exc
             errors[live[k]] = error
-        else:
-            kept.append(k)
-    f_xy, f_yx = (np.array([pair[j][0] for pair in images]).reshape(-1, F.dim) for j in (0, 1))
-    return live[kept], x[kept], y[kept], f_xy, f_yx
+            kept[k] = False
+    return live[kept], xyx[np.concatenate((kept, kept, kept))], img[:, kept].reshape(-1, F.dim)
 
 
 def _run(
@@ -201,16 +203,21 @@ def _run(
 ) -> tuple[list[SolveResult | None], list[DivergenceError | None]]:
     """The coupled iteration from every (x0, y0) in ``seeds``, as one stack.
 
-    All S seeds iterate together as one (S, dim) stack: each step evaluates
-    the images of every seed still running in one `evaluate_rows` call, and
-    each seed stops on its own stopping rule and is then frozen. Returns one
-    SolveResult or None per seed and, for a seed that diverged, the
-    DivergenceError its run raised. The stacked seed check's images are
-    also step 0's, so step 0 makes no call of its own. A seed check that
-    fails is redone seed by seed with `check_seed_condition`, whose
-    DomainError for a seed outside the box propagates, and step 0 is then
-    evaluated as any other step. ``trace`` records the steps of a one-seed
-    run.
+    The m seeds still running form the stack cur = [x; y] of 2m rows, and
+    each step is one `evaluate_rows(cur, [y; x])` call, whose images
+    [F(x, y); F(y, x)] are the next stack, and one `row_distances` call for
+    both gaps. Each seed stops on its own stopping rule; only at a step
+    where some seed stops, or at ``max_iter``, are the stopped seeds' last
+    iterates, step counts and stop flags written out and their rows
+    dropped from the stack. Returns one SolveResult or None per seed and,
+    for a seed that diverged, the DivergenceError its run raised.
+
+    The seed check is one such call on the strict box, and its images are
+    also step 0's, since the strict box lies inside the padded one. A seed
+    check that raises is redone seed by seed with `check_seed_condition`,
+    whose DomainError for a seed outside the box propagates, and step 0 is
+    then evaluated as any other step. ``trace`` records the steps of a
+    one-seed run.
     """
     tol = config.tol
     ratio = config.params.ratio if config.params is not None else None
@@ -222,47 +229,59 @@ def _run(
             f"point of dimension {F.dim} in a space of dimension {space.dim}"
         )
 
-    errors: list[DivergenceError | None] = [None] * len(seeds)
-    iterations = np.zeros(len(seeds), dtype=int)
-    stopped = np.zeros(len(seeds), dtype=bool)
-    live = np.arange(len(seeds))
+    S = len(seeds)
+    errors: list[DivergenceError | None] = [None] * S
+    iterations = np.zeros(S, dtype=int)
+    stopped = np.zeros(S, dtype=bool)
+    live = np.arange(S)
+    xyx = np.concatenate((X, Y, X))
     try:
-        f_xy, f_yx = _images(F, [(X, Y), (Y, X)])
+        img = F.evaluate_rows(xyx[: 2 * S], xyx[S:])
     except DomainError:
         seed_ok = [check_seed_condition(space, F, x, y) for x, y in points]
-        step = _padded_images(F, live, X, Y, errors, "iteration")
+        live, xyx, img = _step_images(F, live, xyx, errors, "iteration")
     else:
-        seed_ok = rows_leq(X, f_xy) & rows_leq(f_yx, Y)
-        # Every seed lies in the strict box, so inside the padded one too:
-        # these are step 0's images.
-        step = live, X.copy(), Y.copy(), f_xy, f_yx
+        seed_ok = rows_leq(X, img[:S]) & rows_leq(img[S:], Y)
 
     for n in range(config.max_iter):
         if n:
-            step = _padded_images(F, live, X, Y, errors, "iteration")
-        live, x, y, x_next, y_next = step
-        gap_x, gap_y = row_distances(space, x_next, x), row_distances(space, y_next, y)
-        if trace is not None and live.size:
-            gap_x0, gap_y0 = float(gap_x[0]), float(gap_y[0])
+            live, xyx, img = _step_images(F, live, xyx, errors, "iteration")
+        m = len(live)
+        gaps = row_distances(space, img, xyx[: 2 * m])
+        if trace is not None and m:
+            gap_x0, gap_y0 = float(gaps[0]), float(gaps[m])
             if n == 0:
                 base_gap = 0.5 * (gap_x0 + gap_y0)
             bound = None if ratio is None else ratio**n * base_gap
-            trace.entries.append(TraceEntry(n, x[0], y[0], gap_x0, gap_y0, bound))
-        X[live], Y[live] = x_next, y_next
-        iterations[live] = n + 1
-        worst_gap = np.maximum(gap_x, gap_y)
+            trace.entries.append(TraceEntry(n, xyx[0], xyx[m], gap_x0, gap_y0, bound))
+        worst_gap = np.maximum(gaps[:m], gaps[m:])
         # The stopping rule of IterationConfig.
         tail = worst_gap if ratio is None else worst_gap * ratio / (1.0 - ratio)
-        stopped[live] = done = tail <= tol
-        live = live[~done]
-        if not live.size:
+        done = tail <= tol
+        last = n + 1 == config.max_iter
+        if last or done.any():
+            halt = done | last
+            k = live[halt]
+            X[k], Y[k] = img[:m][halt], img[m:][halt]
+            iterations[k] = n + 1
+            stopped[k] = done[halt]
+            live, img = live[~halt], img[np.concatenate((~halt, ~halt))]
+            m = len(live)
+        if not m:
             break
+        # A new array, never written in place: the trace keeps views of it,
+        # and the evaluator may reuse its output buffer on the next call.
+        xyx = np.concatenate((img, img[:m]))
 
     ran = np.flatnonzero([e is None for e in errors])
-    ran, x, y, f_xy, f_yx = _padded_images(F, ran, X, Y, errors, "final iterate")
-    residual = np.maximum(row_distances(space, f_xy, x), row_distances(space, f_yx, y))
+    xyx = np.concatenate((X[ran], Y[ran], X[ran]))
+    ran, xyx, img = _step_images(F, ran, xyx, errors, "final iterate")
+    m = len(ran)
+    x, y = xyx[:m], xyx[m : 2 * m]
+    gaps = row_distances(space, img, xyx[: 2 * m])
+    residual = np.maximum(gaps[:m], gaps[m:])
     components_equal = row_distances(space, x, y) <= 2.0 * tol
-    results: list[SolveResult | None] = [None] * len(seeds)
+    results: list[SolveResult | None] = [None] * S
     for i, k in enumerate(ran):
         results[k] = SolveResult(
             fixed_pair=Pair(x[i], y[i]),
@@ -405,39 +424,27 @@ class SeedRun:
 
 
 @dataclass(frozen=True)
-class BridgeCheck:
-    """Bridging witness for one pair of limits: comparable to both or not."""
-
-    index_a: int
-    index_b: int
-    bridge: Pair
-    comparable_to_both: bool
-
-
-@dataclass(frozen=True)
 class UniquenessReport:
     """Empirical uniqueness evidence from multiple seeds.
 
     Uniqueness is probed, not proved: the report says whether every
-    converged run landed on the same pair and exhibits a bridging pair
-    comparable to each pair of limits, the hypothesis a uniqueness
-    argument needs. Agreement uses the threshold 2 * tol: each run only
-    guarantees its result within tol of the true limit, so two runs on the
-    same limit can sit up to 2 * tol apart.
+    converged run landed on the same pair, and gives one joint bridge, a
+    pair comparable to every converged limit, the hypothesis a uniqueness
+    argument needs. ``bridge`` is the coordinatewise max of the limits'
+    first components and min of their second components, the fold of
+    `spaces.find_bridge` over the limits; it is None when no run
+    converged, and ``bridge_comparable`` then holds vacuously. Agreement
+    uses the threshold 2 * tol: each run only guarantees its result within
+    tol of the true limit, so two runs on the same limit can sit up to
+    2 * tol apart.
     """
 
     runs: list[SeedRun]
     max_pairwise_distance: float | None
     all_agree: bool
-    bridges: list[BridgeCheck]
+    bridge: Pair | None
+    bridge_comparable: bool
     tol: float
-
-
-def _rows_comparable(z1, z2, p1, p2) -> np.ndarray:
-    """`comparable` of the pairs (z1[k], z2[k]) and (p1[k], p2[k]), per row."""
-    below = rows_leq(z1, p1) & rows_leq(p2, z2)
-    above = rows_leq(p1, z1) & rows_leq(z2, p2)
-    return below | above
 
 
 def uniqueness_probe(
@@ -450,8 +457,12 @@ def uniqueness_probe(
 
     Seeds violating the seed condition are still run (and flagged in their
     SolveResult); a diverging run is recorded per-seed without aborting the
-    probe. For every pair of converged limits a bridge element is produced
-    and checked for comparability with both.
+    probe. ``max_pairwise_distance`` is the largest max(d(x_a, x_b),
+    d(y_a, y_b)) over pairs of converged limits, each limit taken against
+    the later ones in one `row_distances` call. One joint bridge, which
+    dominates every converged limit in the pair order, is checked against
+    all of them at once, so the probe's work past the iteration grows
+    linearly in the seeds.
 
     All seeds iterate together in the loop `iterate` runs on one seed, so
     each seed's result equals that of `iterate` run from it alone, float for
@@ -469,23 +480,28 @@ def uniqueness_probe(
         for seed, result, error in zip(seeds, results, errors)
     ]
 
-    limits = [k for k, r in enumerate(results) if r is not None and r.converged]
-    X = np.array([results[k].fixed_pair.first for k in limits]).reshape(-1, F.dim)
-    Y = np.array([results[k].fixed_pair.second for k in limits]).reshape(-1, F.dim)
-    a, b = np.triu_indices(len(limits), k=1)
-    dist = np.maximum(row_distances(space, X[a], X[b]), row_distances(space, Y[a], Y[b]))
-    max_dist = float(dist.max()) if dist.size else None
-    z1, z2 = np.maximum(X[a], X[b]), np.minimum(Y[a], Y[b])
-    both = _rows_comparable(z1, z2, X[a], Y[a]) & _rows_comparable(z1, z2, X[b], Y[b])
-    bridges = [
-        BridgeCheck(limits[i], limits[j], Pair(p, q), bool(ok))
-        for i, j, p, q, ok in zip(a, b, z1, z2, both)
+    limits = [r.fixed_pair for r in results if r is not None and r.converged]
+    X = np.array([p.first for p in limits]).reshape(-1, F.dim)
+    Y = np.array([p.second for p in limits]).reshape(-1, F.dim)
+    # Each limit against the later ones, so memory stays O(S).
+    pair_max = [
+        np.maximum(
+            row_distances(space, X[i : i + 1], X[i + 1 :]),
+            row_distances(space, Y[i : i + 1], Y[i + 1 :]),
+        ).max()
+        for i in range(len(limits) - 1)
     ]
+    max_dist = float(max(pair_max)) if pair_max else None
+    bridge = Pair(X.max(axis=0), Y.min(axis=0)) if limits else None
+    bridge_ok = bridge is None or bool(
+        np.all(rows_leq(X, bridge.first) & rows_leq(bridge.second, Y))
+    )
     agree = len(limits) == len(runs) and (max_dist is None or max_dist <= 2.0 * tol)
     return UniquenessReport(
         runs=runs,
         max_pairwise_distance=max_dist,
         all_agree=agree,
-        bridges=bridges,
+        bridge=bridge,
+        bridge_comparable=bridge_ok,
         tol=tol,
     )

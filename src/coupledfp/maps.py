@@ -14,7 +14,7 @@ computed.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -98,6 +98,8 @@ class CoupledMap:
     lower: np.ndarray
     upper: np.ndarray
     batched: bool = False
+    # Padded boxes by padding, filled in by `_bounds`.
+    _padded: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         lower = as_point(self.lower, dim=self.dim)
@@ -117,9 +119,12 @@ class CoupledMap:
         return bool(np.all(p >= lo) and np.all(p <= hi))
 
     def _bounds(self, padding: float) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper corner of the box inflated by ``padding``."""
-        grow = 0.5 * (padding - 1.0) * (self.upper - self.lower)
-        return self.lower - grow, self.upper + grow
+        """Lower and upper corner of the box inflated by ``padding``, computed once."""
+        bounds = self._padded.get(padding)
+        if bounds is None:
+            grow = 0.5 * (padding - 1.0) * (self.upper - self.lower)
+            bounds = self._padded[padding] = (self.lower - grow, self.upper + grow)
+        return bounds
 
     def _check_args(self, x, y, padding: float) -> tuple[np.ndarray, np.ndarray]:
         x = as_point(x, dim=self.dim)
@@ -175,10 +180,11 @@ class CoupledMap:
                 f"expected two (n, {self.dim}) stacks, got {X.shape} and {Y.shape}"
             )
         lo, hi = self._bounds(padding)
-        # The whole stack is checked first; row masks are built only to name
-        # the first bad row.
+        # Both stacks are checked whole and at once (np.minimum and np.maximum
+        # propagate NaN, so a NaN argument fails here too); row masks are
+        # built only to name the first bad row.
         good = len(X)
-        if not ((X >= lo).all() and (X <= hi).all() and (Y >= lo).all() and (Y <= hi).all()):
+        if not ((lo <= np.minimum(X, Y)) & (np.maximum(X, Y) <= hi)).all():
             inside = np.all((X >= lo) & (X <= hi), axis=1) & np.all((Y >= lo) & (Y <= hi), axis=1)
             good = int(np.argmin(inside))
         if self.batched:

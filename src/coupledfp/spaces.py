@@ -143,7 +143,10 @@ def find_bridge(space: SpaceDescriptor, a: Pair, b: Pair) -> Pair:
     Takes the coordinatewise max of the first components and min of the
     second, so the result is >= both inputs and hence comparable to both.
     In a coordinatewise-ordered R^d such an element always exists, which is
-    what makes the uniqueness hypothesis checkable here.
+    what makes the uniqueness hypothesis checkable here. Max and min are
+    exact and associative, so folding this over any number of pairs gives
+    one pair that dominates them all: `uniqueness_probe`'s joint bridge is
+    that fold over the converged limits.
     """
     _check_dims(space, a.first, b.first, b.second)
     return Pair(np.maximum(a.first, b.first), np.minimum(a.second, b.second))

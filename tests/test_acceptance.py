@@ -19,6 +19,7 @@ from coupledfp import (
     certify_region,
     check_monotone_chain,
     check_seed_condition,
+    comparable,
     dass_gupta_margin,
     distance,
     estimate_params,
@@ -150,8 +151,9 @@ def test_criterion_06_uniqueness_probe():
         report = uniqueness_probe(prob.space, prob.map, seeds, config)
         assert all(r.result is not None and r.result.converged for r in report.runs)
         assert report.max_pairwise_distance <= 1e-9
-        assert len(report.bridges) == 3
-        assert all(b.comparable_to_both for b in report.bridges)
+        assert report.bridge_comparable
+        assert all(comparable(prob.space, report.bridge, r.result.fixed_pair)
+                   for r in report.runs)
 
 
 def test_criterion_07_dass_gupta_reduction():

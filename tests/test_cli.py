@@ -178,6 +178,15 @@ class TestCertify:
         assert code == 2
         assert "FALSIFIED" in out
 
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_no_samples_exit_one(self, capsys, samples):
+        code, out, err = run_cli(
+            capsys, "certify", "--problem", "linear_demo", "--samples", samples
+        )
+        assert code == 1
+        assert err == "error: certify needs --samples >= 1\n"
+        assert out == ""
+
     def test_byte_identical_outputs(self, capsys):
         argv = (
             "certify", "--problem", "linear_demo", "--alpha", "0.1", "--beta", "0.5",
@@ -351,6 +360,15 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--no-such-flag"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("command", ["certify", "estimate", "check-monotone"])
+    @pytest.mark.parametrize("flag", [["--tol", "1e-5"], ["--tol", "inf"], ["--max-iter", "-5"]])
+    def test_iteration_flags_only_where_read(self, capsys, command, flag):
+        # Only solve and probe-uniqueness iterate, so only they take these.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--problem", "linear_demo", "--samples", "10", *flag])
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     def test_missing_subcommand_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

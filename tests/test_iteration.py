@@ -1,3 +1,4 @@
+import functools
 import io
 import math
 import os
@@ -35,6 +36,7 @@ from coupledfp import (
     verify_coupled_fixed_point,
 )
 from coupledfp.iteration import DIVERGENCE_PADDING, TraceEntry
+from coupledfp.spaces import row_distances
 
 PARAMS_LINEAR = ContractionParams(0.1, 0.5)
 CONFIGS = os.path.join(os.path.dirname(__file__), "data", "configs")
@@ -153,21 +155,28 @@ def assert_runs_match_solo(space, F, seeds, config):
         assert run.error is None
         assert_same_result(run.result, solo)
 
-    limits = [(i, r.result.fixed_pair) for i, r in enumerate(report.runs)
+    limits = [r.result.fixed_pair for r in report.runs
               if r.result is not None and r.result.converged]
-    distances, bridges = [], []
-    for k, (i, a) in enumerate(limits):
-        for j, b in limits[k + 1 :]:
+    distances = []
+    for k, a in enumerate(limits):
+        for b in limits[k + 1 :]:
             distances.append(max(distance(space, a.first, b.first),
                                  distance(space, a.second, b.second)))
-            z = find_bridge(space, a, b)
-            bridges.append((i, j, z.first.tobytes(), z.second.tobytes(),
-                            comparable(space, z, a) and comparable(space, z, b)))
     assert report.max_pairwise_distance == (max(distances) if distances else None)
-    assert bridges == [(b.index_a, b.index_b, b.bridge.first.tobytes(),
-                        b.bridge.second.tobytes(), b.comparable_to_both)
-                       for b in report.bridges]
+    assert_joint_bridge(space, report, limits)
     return report
+
+
+def assert_joint_bridge(space, report, limits):
+    """The report's bridge is the fold of `find_bridge` over ``limits``, comparable to each."""
+    if not limits:
+        assert report.bridge is None and report.bridge_comparable
+        return
+    z = functools.reduce(lambda a, b: find_bridge(space, a, b), limits)
+    assert bits(report.bridge.first) == bits(z.first)
+    assert bits(report.bridge.second) == bits(z.second)
+    assert all(comparable(space, z, p) for p in limits)
+    assert report.bridge_comparable
 
 
 @pytest.fixture
@@ -251,6 +260,15 @@ class TestIterate:
         assert not result.converged
         assert result.iterations_used == 3
         assert len(trace) == 3
+
+    def test_cut_at_max_iter_is_not_converged(self, linear):
+        # Gaps are 2^-(n+1); at the last step the tail 2^-5 * r / (1 - r)
+        # still exceeds tol = 2^-5, though the final residual 2^-6 does not.
+        config = IterationConfig(max_iter=5, tol=2.0**-5, params=PARAMS_LINEAR)
+        result, _ = iterate(linear.space, linear.map, [-1.0], [1.0], config)
+        assert result.iterations_used == 5
+        assert result.final_residual == 2.0**-6
+        assert not result.converged
 
     def test_divergence_error(self):
         space = SpaceDescriptor(dim=1)
@@ -442,8 +460,7 @@ class TestUniquenessProbe:
         report = uniqueness_probe(linear.space, linear.map, seeds, config)
         assert report.all_agree
         assert report.max_pairwise_distance <= 1e-9
-        assert len(report.bridges) == 3
-        assert all(b.comparable_to_both for b in report.bridges)
+        assert_joint_bridge(linear.space, report, [r.result.fixed_pair for r in report.runs])
 
     def test_single_seed(self, linear):
         report = uniqueness_probe(
@@ -451,7 +468,7 @@ class TestUniquenessProbe:
         )
         assert report.all_agree
         assert report.max_pairwise_distance is None
-        assert report.bridges == []
+        assert_joint_bridge(linear.space, report, [report.runs[0].result.fixed_pair])
 
     def test_affine_two_seeds(self, affine):
         seeds = [Pair([0.0], [3.0]), Pair([-1.0], [4.0])]
@@ -504,7 +521,8 @@ class TestUniquenessProbe:
         assert "final iterate escaped" in report.runs[2].error
         assert not report.runs[3].result.converged
         assert not report.all_agree
-        assert [(b.index_a, b.index_b) for b in report.bridges] == [(0, 4)]
+        limits = [report.runs[k].result.fixed_pair for k in (0, 4)]
+        assert_joint_bridge(space, report, limits)
 
         outside = Pair([1.5], [-1.25])
         assert_iterate_matches_solo(space, F, outside.first, outside.second, config)
@@ -514,19 +532,35 @@ class TestUniquenessProbe:
             uniqueness_probe(space, F, seeds + [outside], config)
         assert str(probe.value) == str(solo.value)
 
-    def test_seed_whose_swapped_image_fails(self):
+    def test_seed_whose_swapped_image_fails(self, calls):
         # x0 <= F(x0, y0) fails, so the seed check never evaluates F(y0, x0),
-        # which raises; the first step then diverges on it.
+        # which raises; the first step then diverges on it. The stacked seed
+        # check does evaluate it and raises, so the seed-by-seed fallback is
+        # what keeps the other seeds running: for a pointwise map and for a
+        # batched expression map.
         def halve(x, y):
             if y[0] > 0.9:
                 raise DomainError("second argument above 0.9")
             return 0.5 * x
 
+        expression = build_problem({
+            "dim": 1,
+            "components_F": ["0.5*x1 + 0*ln(0.9 - y1)"],
+            "domain_box": [-1.0, 1.0],
+            "seed": {"x0": [0.95], "y0": [0.0]},
+        }).map
         space = SpaceDescriptor(dim=1)
-        F = CoupledMap("halve", 1, halve, [-1.0], [1.0])
         seeds = [Pair([0.5], [0.0]), Pair([0.95], [0.0]), Pair([0.0], [0.5])]
-        report = assert_runs_match_solo(space, F, seeds, IterationConfig(tol=1e-8))
-        assert report.runs[1].error.endswith("second argument above 0.9")
+        for F, message in [
+            (CoupledMap("halve", 1, halve, [-1.0], [1.0]), "second argument above 0.9"),
+            (expression, "ln of non-positive value -0.04999999999999993"),
+        ]:
+            calls["evaluate"] = 0
+            report = uniqueness_probe(space, F, seeds, IterationConfig(tol=1e-8))
+            # check_seed_condition ran seed by seed: seeds 0 and 1 short-circuit
+            assert calls["evaluate"] == 1 + 1 + 2
+            assert report.runs[1].error.endswith(message)
+            assert_runs_match_solo(space, F, seeds, IterationConfig(tol=1e-8))
 
     @pytest.mark.parametrize("params", [None, PARAMS_LINEAR])
     def test_diverging_expression_map(self, params):
@@ -551,8 +585,78 @@ class TestUniquenessProbe:
         report = uniqueness_probe(linear.space, linear.map, probe_seeds(linear, count), config)
         assert report.all_agree
         steps = max(r.result.iterations_used for r in report.runs)
-        assert calls["evaluate_rows"] <= steps + 2
+        assert calls["evaluate_rows"] == steps + 1
         assert calls["evaluate"] == calls["iterate"] == 0
+
+    @pytest.mark.parametrize("metric", ["euclidean", "max", "l1"])
+    def test_max_distance_equals_pairwise_formula(self, metric):
+        # The all-pairs formula the probe used before it took each limit
+        # against the later ones; seed 1 diverges on its first step.
+        def halve(x, y):
+            if np.any(y > 0.9):
+                raise DomainError("second argument above 0.9")
+            return 0.5 * x
+
+        space = SpaceDescriptor(dim=2, metric=metric)
+        F = CoupledMap("halve", 2, halve, [-1.0, -1.0], [1.0, 1.0], batched=True)
+        rng = np.random.default_rng(7)
+        seeds = [Pair(*rng.uniform(-1.0, 0.9, (2, 2))) for _ in range(12)]
+        seeds[1] = Pair([0.95, 0.5], [0.0, 0.0])
+        for count in range(1, 13):
+            report = uniqueness_probe(space, F, seeds[:count], IterationConfig(tol=1e-3))
+            limits = [r.result.fixed_pair for r in report.runs if r.result and r.result.converged]
+            assert len(limits) == count - (count > 1)
+            X = np.array([p.first for p in limits]).reshape(-1, 2)
+            Y = np.array([p.second for p in limits]).reshape(-1, 2)
+            a, b = np.triu_indices(len(limits), k=1)
+            dist = np.maximum(row_distances(space, X[a], X[b]), row_distances(space, Y[a], Y[b]))
+            expected = float(dist.max()) if dist.size else None
+            assert bits(report.max_pairwise_distance) == bits(expected)
+            assert_joint_bridge(space, report, limits)
+
+    @pytest.mark.parametrize("count", [10, 1000])
+    def test_pairs_built_grow_linearly(self, linear, monkeypatch, count):
+        seeds = probe_seeds(linear, count)
+        built = []
+        post_init = Pair.__post_init__
+        monkeypatch.setattr(Pair, "__post_init__", lambda p: built.append(1) or post_init(p))
+        report = uniqueness_probe(linear.space, linear.map, seeds, IterationConfig())
+        assert report.all_agree
+        # one fixed pair per seed and the joint bridge
+        assert len(built) == count + 1
+
+    def test_reused_output_buffer(self):
+        # An evaluator may hand back one buffer per shape on every call; the
+        # iteration must copy each image before its next call.
+        def linear(reuse):
+            buffers = {}
+
+            def F(x, y):
+                if np.any(y > 0.9):
+                    raise DomainError("second argument above 0.9")
+                out = buffers.setdefault(x.shape, np.empty(x.shape)) if reuse else None
+                return np.multiply(np.subtract(x, y), 0.25, out=out)
+
+            return CoupledMap("linear", 1, F, [-1.0], [1.0], batched=True)
+
+        space = SpaceDescriptor(dim=1)
+        # seed 2 diverges on its first step, so the seed-by-seed fallback runs
+        seeds = [Pair([-0.5], [0.5]), Pair([0.25], [-0.75]), Pair([0.95], [0.0]),
+                 Pair([-0.8], [0.3]), Pair([0.1], [0.6])]
+        config = IterationConfig(tol=1e-12)
+        fresh, reused = (uniqueness_probe(space, linear(r), seeds, config) for r in (False, True))
+        for a, b in zip(fresh.runs, reused.runs):
+            assert a.error == b.error
+            if a.result is not None:
+                assert_same_result(b.result, a.result)
+        assert fresh.runs[2].error is not None
+        assert len({r.result.iterations_used for r in fresh.runs if r.result}) > 1
+        for seed in seeds[:2]:
+            (r1, t1), (r2, t2) = (
+                iterate(space, linear(r), seed.first, seed.second, config) for r in (False, True)
+            )
+            assert_same_result(r2, r1)
+            assert [[bits(v) for v in e] for e in t2] == [[bits(v) for v in e] for e in t1]
 
     def test_needs_a_seed(self, linear):
         with pytest.raises(InputError):
