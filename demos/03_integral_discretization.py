@@ -40,9 +40,18 @@ print(f"\nmonotone chain: {report.monotone_ok}, limit comparisons: {report.limit
 mono = mixed_monotone_check(prob.map, 1000, rng_seed=0)
 print(f"mixed monotonicity: {mono.violations} violations in {mono.sample_count} samples")
 
-# a long plain iteration agrees with the engine's stopped run
-F = prob.map.evaluator
-x, y = np.zeros(prob.space.dim), np.ones(prob.space.dim)
+# a long plain iteration of the formula above agrees with the engine's
+# stopped run
+n = prob.space.dim
+t = np.arange(n) / n
+weights = np.exp(-np.abs(t[:, None] - t[None, :])) / (4.0 * n)
+
+
+def F(x, y):
+    return 0.25 + weights @ (x / (1.0 + np.abs(x)) - y / (1.0 + np.abs(y)))
+
+
+x, y = np.zeros(n), np.ones(n)
 for _ in range(100_000):
     x, y = F(x, y), F(y, x)
 print(f"oracle (1e5 raw steps) agrees to "

@@ -179,10 +179,10 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if args.samples < 1:
+        raise InputError("estimate needs --samples >= 1")
     problem = _load_problem(args)
     samples = sample_comparable_pairs(problem.space, problem.map, args.samples, args.rng_seed)
-    if not samples:
-        raise InputError("estimate needs --samples >= 1")
     estimate = estimate_params(samples)
     payload = {"problem": problem.name, **estimate.to_jsonable()}
     if estimate.feasible:
@@ -202,6 +202,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_check_monotone(args) -> int:
+    if args.samples < 1:
+        raise InputError("check-monotone needs --samples >= 1")
     problem = _load_problem(args)
     report = mixed_monotone_check(problem.map, args.samples, args.rng_seed)
     payload = {

@@ -16,8 +16,8 @@ overflow instead of letting NaNs propagate.
 Every node evaluates two ways, with the same floats:
 
 * ``eval`` walks the tree once for one row (two 1-D arrays), on Python
-  floats. One-row calls and stacks of at most WALK_ROWS rows (iteration
-  steps, the seed check) use it: on a 4-D map with a dozen function calls
+  floats. Stacks of at most WALK_ROWS rows (one-row calls, one seed's
+  iteration steps) use it: on a 4-D map with a dozen function calls
   the tree walk takes about 20-30 us per row, a stacked call about
   110-170 us on up to 8 rows, and about 1 us per row on a stack of 16k
   rows (one core of a 2-core x86-64 VM, numpy 2.4).
@@ -365,18 +365,15 @@ def parse_expression(text: str, dim: int) -> Expression:
 
 
 def evaluate_components(exprs: list[Expression], x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The map whose coordinates are ``exprs``, on one row or on a row stack.
+    """The map whose coordinates are ``exprs``, on two (n, dim) row stacks.
 
-    For 1-D x, y returns the (len(exprs),) image by the tree walk. For two
-    (n, dim) stacks returns the (n, len(exprs)) stack of images, row k equal
-    bit for bit to the 1-D call on row k. A stack of at most WALK_ROWS rows,
-    or one on which a guard trips, is evaluated row by row with the tree
-    walk: the first row that raises raises its DomainError, and the stack
-    returned stops after the first row with a non-finite image (later rows
-    are NaN), so that the caller's finiteness check names that row.
+    Returns the (n, len(exprs)) stack of images, row k equal bit for bit to
+    the tree walk on row k. A stack of at most WALK_ROWS rows, or one on
+    which a guard trips, is evaluated row by row with the tree walk: the
+    first row that raises raises its DomainError, and the stack returned
+    stops after the first row with a non-finite image (later rows are NaN),
+    so that the caller's finiteness check names that row.
     """
-    if x.ndim == 1:
-        return np.array([e.eval(x, y) for e in exprs])
     if len(x) > WALK_ROWS:
         try:
             with np.errstate(all="ignore"):  # overflow to inf, as on Python floats

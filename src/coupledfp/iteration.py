@@ -30,7 +30,6 @@ from .spaces import (
     Pair,
     SpaceDescriptor,
     as_point,
-    distance,
     leq,
     row_distances,
     rows_leq,
@@ -142,6 +141,13 @@ class SolveResult:
     components_equal: bool
 
 
+def _check_space(space: SpaceDescriptor, F: CoupledMap) -> None:
+    if space.dim != F.dim:
+        raise DimensionMismatchError(
+            f"point of dimension {F.dim} in a space of dimension {space.dim}"
+        )
+
+
 def check_seed_condition(space: SpaceDescriptor, F: CoupledMap, x0, y0) -> bool:
     """x0 <= F(x0, y0) and F(y0, x0) <= y0."""
     x0 = as_point(x0, dim=F.dim)
@@ -156,11 +162,15 @@ def verify_coupled_fixed_point(
     tol: float,
     padding: float = 1.0,
 ) -> tuple[bool, float]:
-    """Residual max(d(F(x,y), x), d(F(y,x), y)) and whether it is <= tol."""
-    residual = max(
-        distance(space, F.evaluate(pair.first, pair.second, padding), pair.first),
-        distance(space, F.evaluate(pair.second, pair.first, padding), pair.second),
-    )
+    """Residual max(d(F(x,y), x), d(F(y,x), y)) and whether it is <= tol.
+
+    One `evaluate_rows([x; y], [y; x])` call and one `row_distances` call,
+    the computation of `_run`'s final check.
+    """
+    _check_space(space, F)
+    xyx = np.stack((pair.first, pair.second, pair.first))
+    img = F.evaluate_rows(xyx[:2], xyx[1:], padding)
+    residual = float(row_distances(space, img, xyx[:2]).max())
     return residual <= tol, residual
 
 
@@ -224,10 +234,7 @@ def _run(
     points = [(as_point(x0, dim=F.dim), as_point(y0, dim=F.dim)) for x0, y0 in seeds]
     X = np.array([x for x, _ in points])
     Y = np.array([y for _, y in points])
-    if space.dim != F.dim:
-        raise DimensionMismatchError(
-            f"point of dimension {F.dim} in a space of dimension {space.dim}"
-        )
+    _check_space(space, F)
 
     S = len(seeds)
     errors: list[DivergenceError | None] = [None] * S

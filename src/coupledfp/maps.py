@@ -79,16 +79,15 @@ class ContractionParams:
 class CoupledMap:
     """A deterministic two-variable map together with its claimed domain box.
 
-    ``evaluator`` takes two 1-D float arrays of length ``dim`` and returns
-    one; it must be total and deterministic on the box. The box is the
-    region on which the map's hypotheses (monotonicity, contraction) are
-    claimed; evaluation outside it raises :class:`DomainError`.
+    ``evaluator`` takes two (n, dim) float row stacks and returns the
+    (n, dim) stack of images, row k equal bit for bit to the image of row k
+    evaluated alone; it must be total and deterministic on the box. The box
+    is the region on which the map's hypotheses (monotonicity, contraction)
+    are claimed; evaluation outside it raises :class:`DomainError`.
 
-    A ``batched`` evaluator also takes two (n, dim) row stacks and returns
-    the (n, dim) stack of images, row k equal bit for bit to its value on
-    row k alone; `evaluate_rows` then makes one call per stack instead of
-    one per row. Expression maps from configs are batched: their stacked
-    evaluation (`expressions.evaluate_components`) keeps every float of
+    `evaluate_rows` makes one evaluator call per stack, and `evaluate` is
+    its one-row call. Expression maps from configs evaluate a stack column
+    by column (`expressions.evaluate_components`), keeping every float of
     the one-row tree walk, transcendental functions included.
     """
 
@@ -97,7 +96,6 @@ class CoupledMap:
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     lower: np.ndarray
     upper: np.ndarray
-    batched: bool = False
     # Padded boxes by padding, filled in by `_bounds`.
     _padded: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -126,7 +124,8 @@ class CoupledMap:
             bounds = self._padded[padding] = (self.lower - grow, self.upper + grow)
         return bounds
 
-    def _check_args(self, x, y, padding: float) -> tuple[np.ndarray, np.ndarray]:
+    def _check_args(self, x, y, padding: float) -> None:
+        """Raise for a row with an argument that is not finite or not in the padded box."""
         x = as_point(x, dim=self.dim)
         y = as_point(y, dim=self.dim)
         for p in (x, y):
@@ -134,20 +133,9 @@ class CoupledMap:
                 raise DomainError(
                     f"input {p.tolist()} outside the domain box of {self.name!r}"
                 )
-        return x, y
-
-    def _check_image(self, out) -> np.ndarray:
-        out = np.atleast_1d(np.asarray(out, dtype=float))
-        if out.shape != (self.dim,):
-            raise DomainError(
-                f"map {self.name!r} returned shape {out.shape}, expected ({self.dim},)"
-            )
-        if not np.all(np.isfinite(out)):
-            raise DomainError(f"map {self.name!r} returned non-finite values: {out!r}")
-        return out
 
     def _evaluate_stack(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """One call of a batched evaluator on in-box rows, with its images checked."""
+        """One evaluator call on in-box rows, with its images checked."""
         if not len(X):
             return np.empty((0, self.dim))
         out = np.asarray(self.evaluator(X, Y), dtype=float)
@@ -156,22 +144,23 @@ class CoupledMap:
                 f"map {self.name!r} returned shape {out.shape}, expected {X.shape}"
             )
         if not np.isfinite(out).all():
-            finite = np.all(np.isfinite(out), axis=1)
-            self._check_image(out[np.argmin(finite)])  # raises for that row
+            bad = out[np.argmin(np.all(np.isfinite(out), axis=1))]
+            raise DomainError(f"map {self.name!r} returned non-finite values: {bad!r}")
         return out
 
     def evaluate(self, x, y, padding: float = 1.0) -> np.ndarray:
-        """Apply the map, enforcing the (possibly padded) domain box."""
-        x, y = self._check_args(x, y, padding)
-        return self._check_image(self.evaluator(x, y))
+        """Apply the map to one row: the one-row call of `evaluate_rows`."""
+        x = as_point(x, dim=self.dim)
+        y = as_point(y, dim=self.dim)
+        return self.evaluate_rows(x[None], y[None], padding)[0]
 
     def evaluate_rows(self, X, Y, padding: float = 1.0) -> np.ndarray:
         """F(X[k], Y[k]) for each row k of two (n, dim) stacks, as a stack.
 
-        Makes `evaluate`'s checks (finite arguments in the box inflated by
-        ``padding``, image shape, finite image) as array operations. A
-        failure names the first bad row, with the message `evaluate` gives
-        for that row.
+        Checks that every argument is finite and in the box inflated by
+        ``padding``, and that every image has the stack's shape and is
+        finite. A failure names the first bad row, with the message a
+        one-row call on that row gives.
         """
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
@@ -187,12 +176,7 @@ class CoupledMap:
         if not ((lo <= np.minimum(X, Y)) & (np.maximum(X, Y) <= hi)).all():
             inside = np.all((X >= lo) & (X <= hi), axis=1) & np.all((Y >= lo) & (Y <= hi), axis=1)
             good = int(np.argmin(inside))
-        if self.batched:
-            out = self._evaluate_stack(X[:good], Y[:good])
-        else:
-            out = np.empty((good, self.dim))
-            for k in range(good):
-                out[k] = self._check_image(self.evaluator(X[k], Y[k]))
+        out = self._evaluate_stack(X[:good], Y[:good])
         if good < len(X):
             self._check_args(X[good], Y[good], padding)  # raises for this row
         return out
@@ -313,8 +297,8 @@ def dass_gupta_margin(
     """
     x_hat = as_point(x_hat, dim=F.dim)
     y_hat = as_point(y_hat, dim=F.dim)
-    f_x = F.evaluate(x_hat, x_hat)
-    f_y = F.evaluate(y_hat, y_hat)
+    diagonal = np.stack((x_hat, y_hat))
+    f_x, f_y = F.evaluate_rows(diagonal, diagonal)
     gap = distance(space, x_hat, y_hat)
     rhs = (
         params.alpha

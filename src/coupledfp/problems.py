@@ -80,7 +80,6 @@ def linear_demo() -> ProblemSpec:
         evaluator=lambda x, y: (x - y) / 4.0,
         lower=[-2.0],
         upper=[2.0],
-        batched=True,
     )
     return ProblemSpec(
         name="linear_demo",
@@ -100,7 +99,6 @@ def affine_demo() -> ProblemSpec:
         evaluator=lambda x, y: x / 3.0 - y / 4.0 + 1.0,
         lower=[-4.0],
         upper=[4.0],
-        batched=True,
     )
     value = float(Fraction(12, 11))
     return ProblemSpec(
@@ -114,13 +112,13 @@ def affine_demo() -> ProblemSpec:
 
 
 def _kernel_product(kernel: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """kernel @ row for each row of the stack d, or for d itself when 1-D.
+    """kernel @ row for each row of the (n, N) stack d, as an (n, N) stack.
 
-    One (1, N) @ (N, N) product per row rounds as kernel @ d does; a single
-    d @ kernel.T over a stack (one matrix product) rounds differently. Kept
-    apart so that tests can count the rows sent through it.
+    One (1, N) @ (N, N) product per row rounds as kernel @ row does; a
+    single d @ kernel.T over the stack (one matrix product) rounds
+    differently. Kept apart so that tests can count the rows sent through it.
     """
-    return (d[..., None, :] @ kernel.T)[..., 0, :]
+    return (d[:, None, :] @ kernel.T)[:, 0, :]
 
 
 def _share_rows(d: np.ndarray):
@@ -170,7 +168,7 @@ def integral_demo(n_nodes: int = 16) -> ProblemSpec:
         # product is computed once per distinct row up to sign (see
         # _share_rows) and negated for the other, bit for bit.
         d = squash(x) - squash(y)
-        shares = None if d.ndim == 1 else _share_rows(d)
+        shares = _share_rows(d)
         if shares is None:
             return 0.25 + scale * _kernel_product(kernel, d)
         k, j, flip = shares
@@ -188,7 +186,6 @@ def integral_demo(n_nodes: int = 16) -> ProblemSpec:
         evaluator=evaluator,
         lower=np.full(n_nodes, -2.0),
         upper=np.full(n_nodes, 2.0),
-        batched=True,
     )
     quarter = np.full(n_nodes, 0.25)
     return ProblemSpec(
@@ -338,9 +335,7 @@ def build_problem(config: Mapping) -> ProblemSpec:
         return evaluate_components(exprs, x, y)
 
     name = "custom[" + "; ".join(str(e) for e in exprs) + "]"
-    F = CoupledMap(
-        name=name, dim=dim, evaluator=evaluator, lower=lower, upper=upper, batched=True
-    )
+    F = CoupledMap(name=name, dim=dim, evaluator=evaluator, lower=lower, upper=upper)
     params = _parse_params(config["params"]) if "params" in config else None
     return ProblemSpec(
         name=name,

@@ -16,8 +16,6 @@ from .errors import DimensionMismatchError, InputError
 
 METRICS = ("euclidean", "max", "l1")
 
-_NORM_ORDER = {"euclidean": 2, "max": np.inf, "l1": 1}
-
 
 def as_point(coords, dim: int | None = None) -> np.ndarray:
     """Validate and normalize a point to a finite 1-D float array.
@@ -87,19 +85,20 @@ def _check_dims(space: SpaceDescriptor, *points: np.ndarray) -> None:
 
 
 def distance(space: SpaceDescriptor, p, q) -> float:
-    """Metric distance between two points: the chosen norm of p - q."""
+    """Metric distance between two points: the one-row call of `row_distances`."""
     p = as_point(p)
     q = as_point(q)
     _check_dims(space, p, q)
-    return float(np.linalg.norm(p - q, ord=_NORM_ORDER[space.metric]))
+    return float(row_distances(space, p[None], q[None])[0])
 
 
 def row_distances(space: SpaceDescriptor, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Distances between matching rows of two (n, dim) stacks.
 
-    Each entry equals `distance` of its two rows bit for bit: the euclidean
-    norm takes one dot product per row, as `np.linalg.norm` does for a
-    single vector, where `norm(..., axis=1)` would round differently.
+    Each entry is the chosen norm of its row of P - Q, equal bit for bit to
+    `np.linalg.norm` of that row: the euclidean norm takes one dot product
+    per row, as `np.linalg.norm` does for a single vector, where
+    `norm(..., axis=1)` would round differently.
     """
     D = P - Q
     if space.metric == "euclidean":
@@ -110,15 +109,18 @@ def row_distances(space: SpaceDescriptor, P: np.ndarray, Q: np.ndarray) -> np.nd
 
 
 def leq(space: SpaceDescriptor, p, q) -> bool:
-    """Coordinatewise order: p <= q iff p_i <= q_i for all i."""
+    """Coordinatewise order p <= q: the one-row call of `rows_leq`."""
     p = as_point(p)
     q = as_point(q)
     _check_dims(space, p, q)
-    return bool(np.all(p <= q))
+    return bool(rows_leq(p[None], q[None])[0])
 
 
 def rows_leq(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """`leq` of each row of P with the matching row of Q, as a bool array."""
+    """Coordinatewise order of each row of P with the matching row of Q.
+
+    Row k is True iff P[k, i] <= Q[k, i] for all i.
+    """
     return np.all(P <= Q, axis=1)
 
 

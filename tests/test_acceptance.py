@@ -186,9 +186,16 @@ def test_criterion_08_integral_demo_against_plain_iteration_oracle():
         assert result.final_residual <= 1e-10
         assert result.components_equal
 
-        # oracle: raw recurrence, no stopping rule, no engine
-        F = prob.map.evaluator
-        x, y = np.zeros(prob.space.dim), np.ones(prob.space.dim)
+        # oracle: raw recurrence, no stopping rule, no engine; the operator
+        # is written out here from its formula in the problems docstring
+        n = prob.space.dim
+        t = np.arange(n) / n
+        weights = np.exp(-np.abs(t[:, None] - t[None, :])) / (4.0 * n)
+
+        def F(x, y):
+            return 0.25 + weights @ (x / (1.0 + np.abs(x)) - y / (1.0 + np.abs(y)))
+
+        x, y = np.zeros(n), np.ones(n)
         for _ in range(100_000):
             x, y = F(x, y), F(y, x)
         assert float(np.max(np.abs(result.fixed_pair.first - x))) <= 1e-8

@@ -78,7 +78,7 @@ class TestSampler:
 
     def test_degenerate_box(self, linear):
         F = linear.map
-        point = CoupledMap("point", 1, F.evaluator, [0.5], [0.5], batched=F.batched)
+        point = CoupledMap("point", 1, F.evaluator, [0.5], [0.5])
         samples = sample_comparable_pairs(linear.space, point, 20, 1)
         params = ContractionParams(0.1, 0.5)
         for s in samples:

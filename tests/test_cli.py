@@ -180,12 +180,13 @@ class TestCertify:
 
     @pytest.mark.parametrize("samples", ["0", "-2"])
     def test_no_samples_exit_one(self, capsys, samples):
-        code, out, err = run_cli(
-            capsys, "certify", "--problem", "linear_demo", "--samples", samples
-        )
-        assert code == 1
-        assert err == "error: certify needs --samples >= 1\n"
-        assert out == ""
+        for command in ("certify", "estimate", "check-monotone"):
+            code, out, err = run_cli(
+                capsys, command, "--problem", "linear_demo", "--samples", samples
+            )
+            assert code == 1
+            assert err == f"error: {command} needs --samples >= 1\n"
+            assert out == ""
 
     def test_byte_identical_outputs(self, capsys):
         argv = (

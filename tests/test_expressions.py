@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -179,11 +180,11 @@ class TestRoundTrip:
 
 
 def expression_map(exprs, lower, upper):
-    """A batched map with the given components, as `build_problem` makes them."""
+    """A map with the given components, as `build_problem` makes them."""
     dim = len(exprs)
     return CoupledMap(
         "stacked", dim, lambda x, y: evaluate_components(exprs, x, y),
-        np.full(dim, lower), np.full(dim, upper), batched=True,
+        np.full(dim, lower), np.full(dim, upper),
     )
 
 
@@ -265,10 +266,17 @@ class TestRowStacks:
 
     @pytest.mark.parametrize("name", ["expr_2d.json", "expr_4d.json", "box_edge.json"])
     def test_config_maps_match_tree_walk_bit_for_bit(self, name):
-        prob = load_problem(os.path.join(CONFIGS, name))
+        path = os.path.join(CONFIGS, name)
+        prob = load_problem(path)
         space, F = prob.space, prob.map
-        assert F.batched
-        walk = CoupledMap(F.name, F.dim, F.evaluator, F.lower, F.upper)  # one row per call
+        with open(path, encoding="utf-8") as fh:
+            exprs = [parse_expression(c, F.dim) for c in json.load(fh)["components_F"]]
+
+        def tree_walk(X, Y):
+            # the reference: the tree walk, one row at a time
+            return np.array([[e.eval(x, y) for e in exprs] for x, y in zip(X, Y)]).reshape(X.shape)
+
+        walk = CoupledMap(F.name, F.dim, tree_walk, F.lower, F.upper)
 
         def terms(G):
             s = sample_comparable_pairs(space, G, 2000, 5) + directed_pairs(space, G)
@@ -306,7 +314,7 @@ class TestWorkCounts:
             calls.append(len(x))
             return F.evaluator(x, y)
 
-        counted = CoupledMap(F.name, F.dim, evaluator, F.lower, F.upper, batched=F.batched)
+        counted = CoupledMap(F.name, F.dim, evaluator, F.lower, F.upper)
         n = 10_000
         samples = sample_comparable_pairs(prob.space, counted, n, rng_seed=3)
         report = evaluate_samples(prob.suggested_params, samples)

@@ -536,10 +536,10 @@ class TestUniquenessProbe:
         # x0 <= F(x0, y0) fails, so the seed check never evaluates F(y0, x0),
         # which raises; the first step then diverges on it. The stacked seed
         # check does evaluate it and raises, so the seed-by-seed fallback is
-        # what keeps the other seeds running: for a pointwise map and for a
-        # batched expression map.
+        # what keeps the other seeds running: for a numpy map and for an
+        # expression map.
         def halve(x, y):
-            if y[0] > 0.9:
+            if np.any(y[:, 0] > 0.9):
                 raise DomainError("second argument above 0.9")
             return 0.5 * x
 
@@ -598,7 +598,7 @@ class TestUniquenessProbe:
             return 0.5 * x
 
         space = SpaceDescriptor(dim=2, metric=metric)
-        F = CoupledMap("halve", 2, halve, [-1.0, -1.0], [1.0, 1.0], batched=True)
+        F = CoupledMap("halve", 2, halve, [-1.0, -1.0], [1.0, 1.0])
         rng = np.random.default_rng(7)
         seeds = [Pair(*rng.uniform(-1.0, 0.9, (2, 2))) for _ in range(12)]
         seeds[1] = Pair([0.95, 0.5], [0.0, 0.0])
@@ -637,7 +637,7 @@ class TestUniquenessProbe:
                 out = buffers.setdefault(x.shape, np.empty(x.shape)) if reuse else None
                 return np.multiply(np.subtract(x, y), 0.25, out=out)
 
-            return CoupledMap("linear", 1, F, [-1.0], [1.0], batched=True)
+            return CoupledMap("linear", 1, F, [-1.0], [1.0])
 
         space = SpaceDescriptor(dim=1)
         # seed 2 diverges on its first step, so the seed-by-seed fallback runs

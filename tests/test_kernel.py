@@ -96,7 +96,7 @@ def test_certify_evaluates_four_rows_per_sample_in_blocks(dim, count):
         calls.append(len(x))
         return (x - y) / 4.0
 
-    F = CoupledMap("counted", dim, evaluator, -np.ones(dim), np.ones(dim), batched=True)
+    F = CoupledMap("counted", dim, evaluator, -np.ones(dim), np.ones(dim))
     samples = sample_comparable_pairs(SpaceDescriptor(dim=dim), F, count, rng_seed=3)
     report = evaluate_samples(ContractionParams(0.1, 0.5), samples)
     rows_per_block = max(1, BLOCK_FLOATS // dim)
@@ -107,8 +107,9 @@ def test_certify_evaluates_four_rows_per_sample_in_blocks(dim, count):
 
 
 def _picky(x, y):
-    if x[0] > 0.9:
-        raise DomainError(f"refused first argument {x.tolist()}")
+    bad = x[:, 0] > 0.9
+    if bad.any():
+        raise DomainError(f"refused first argument {x[np.argmax(bad)].tolist()}")
     return x
 
 
@@ -120,7 +121,7 @@ def _nan_rows(x, y):
 # message that shows the second coordinate, which labels the row.
 FAILING_MAPS = [
     CoupledMap("picky", 2, _picky, [-1.0, -1.0], [1.0, 1.0]),
-    CoupledMap("nan_rows", 2, _nan_rows, [-1.0, -1.0], [1.0, 1.0], batched=True),
+    CoupledMap("nan_rows", 2, _nan_rows, [-1.0, -1.0], [1.0, 1.0]),
 ]
 SPACE2 = SpaceDescriptor(dim=2)
 

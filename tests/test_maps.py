@@ -1,21 +1,31 @@
+import os
+
 import numpy as np
 import pytest
 
 from coupledfp import (
     ComparabilityError,
     ContractionParams,
+    CoupledFPError,
     CoupledMap,
     DomainError,
     InputError,
+    IterationConfig,
     Pair,
     SpaceDescriptor,
+    check_seed_condition,
     contraction_margin,
     dass_gupta_margin,
+    get_builtin,
+    iterate,
+    load_problem,
     mixed_monotone_check,
     rational_min_term,
+    verify_coupled_fixed_point,
 )
 
 SPACE1 = SpaceDescriptor(dim=1)
+CONFIGS = os.path.join(os.path.dirname(__file__), "data", "configs")
 
 
 def pair(x, y):
@@ -65,7 +75,7 @@ class TestEvalMap:
 
     def test_box_edges_are_inside(self):
         # center -/+ half width gives 1.0700000000000003 for this box's lower edge
-        F = CoupledMap("edge", 1, lambda x, y: x, lower=[1.07], upper=[2.29], batched=True)
+        F = CoupledMap("edge", 1, lambda x, y: x, lower=[1.07], upper=[2.29])
         edges = np.array([[1.07], [2.29]])
         assert F.contains(edges[0]) and F.contains(edges[1])
         assert F.evaluate_rows(edges, edges[::-1]).tolist() == [[1.07], [2.29]]
@@ -76,9 +86,8 @@ class TestEvalMap:
             F.evaluate_rows(np.array([[below]]), edges[:1])
 
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_padded_edges_match_evaluate(self, batched):
-        F = CoupledMap("edge", 1, lambda x, y: x - 0.5 * y, [1.07], [2.29], batched=batched)
+    def test_padded_edges_match_evaluate(self):
+        F = CoupledMap("edge", 1, lambda x, y: x - 0.5 * y, [1.07], [2.29])
         grow = 0.5 * (2.0 - 1.0) * (2.29 - 1.07)
         values = [1.0]  # inside the padded box only
         for edge in (1.07 - grow, 2.29 + grow):
@@ -101,6 +110,84 @@ class TestEvalMap:
         with pytest.raises(DomainError) as exc:
             F.evaluate_rows(X, Y, padding=2.0)
         assert str(exc.value) == first_bad
+
+
+def _columns(X, Y):
+    # linear_demo's (x - y) / 4 on columns: it indexes a stack's second
+    # axis, so it takes (n, 1) stacks and nothing else
+    return (X[:, :1] - Y[:, :1]) / 4.0
+
+
+def _outcome(call):
+    """The image's bytes, or the error's type and message."""
+    try:
+        return call().tobytes()
+    except CoupledFPError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestOneEvaluatorContract:
+    def test_stack_only_evaluator(self, linear):
+        space, G = linear.space, linear.map
+        F = CoupledMap("columns", 1, _columns, G.lower, G.upper)
+        assert F.evaluate([0.5], [0.1]).tobytes() == G.evaluate([0.5], [0.1]).tobytes()
+        for x0, y0 in [([-1.0], [1.0]), ([1.0], [-1.0])]:
+            assert check_seed_condition(space, F, x0, y0) == check_seed_condition(space, G, x0, y0)
+        for p in [Pair([0.0], [0.0]), Pair([0.3], [-0.2])]:
+            assert verify_coupled_fixed_point(space, F, p, 1e-12) == (
+                verify_coupled_fixed_point(space, G, p, 1e-12)
+            )
+        params = ContractionParams(0.1, 0.5)
+        a, b = pair(0.5, -0.5), pair(0.25, 0.5)
+        assert contraction_margin(space, F, params, a, b) == (
+            contraction_margin(space, G, params, a, b)
+        )
+        assert dass_gupta_margin(space, F, params, [0.5], [-1.0]) == (
+            dass_gupta_margin(space, G, params, [0.5], [-1.0])
+        )
+        config = IterationConfig(params=params)
+        (got, got_trace), (want, want_trace) = (
+            iterate(space, H, [-1.0], [1.0], config) for H in (F, G)
+        )
+        assert got.fixed_pair.first.tobytes() == want.fixed_pair.first.tobytes()
+        assert got.fixed_pair.second.tobytes() == want.fixed_pair.second.tobytes()
+        assert (got.iterations_used, got.final_residual, got.converged) == (
+            want.iterations_used, want.final_residual, want.converged
+        )
+        assert len(got_trace) == len(want_trace)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["linear_demo", "affine_demo", "integral_demo:1", "integral_demo:16",
+         "integral_demo:1024", "expr_2d.json", "expr_4d.json", "expr_ln.json"],
+    )
+    def test_one_row_evaluate_is_the_stacked_call(self, name):
+        if name.endswith(".json"):
+            F = load_problem(os.path.join(CONFIGS, name)).map
+        else:
+            builtin, _, dim = name.partition(":")
+            F = get_builtin(builtin, int(dim) if dim else None).map
+        X, Y = np.random.default_rng(17).uniform(F.lower, F.upper, (2, 12, F.dim))
+        X[3] = F.upper + 1.0
+        Y[6, 0] = np.nan
+        X[9, 0] = -0.75  # ln of a negative number on expr_ln
+        rows = [_outcome(lambda: F.evaluate(x, y)) for x, y in zip(X, Y)]
+        assert rows == [
+            _outcome(lambda: F.evaluate_rows(x[None], y[None])[0]) for x, y in zip(X, Y)
+        ]
+        assert rows[3][0] == "DomainError" and "outside the domain box" in rows[3][1]
+        assert rows[6][0] == "InputError"
+        assert rows[6][1].startswith("point has non-finite coordinates")
+        if name == "expr_ln.json":
+            assert rows[9] == ("DomainError", "ln of non-positive value -0.25")
+        # a stack of the good rows gives each row's one-row image, and the
+        # whole stack fails with the first bad row's error
+        good = [k for k, r in enumerate(rows) if isinstance(r, bytes)]
+        assert len(good) >= 6
+        stacked = F.evaluate_rows(X[good], Y[good])
+        assert [row.tobytes() for row in stacked] == [rows[k] for k in good]
+        first_bad = next(r for r in rows if not isinstance(r, bytes))
+        assert _outcome(lambda: F.evaluate_rows(X, Y)) == first_bad
 
 
 class TestRationalMinTerm:
@@ -162,6 +249,22 @@ class TestDassGupta:
     def test_equal_arguments_nonnegative(self, linear):
         params = ContractionParams(0.1, 0.5)
         assert dass_gupta_margin(SPACE1, linear.map, params, [0.7], [0.7]) >= 0.0
+
+    def test_evaluator_reusing_its_output_buffer(self):
+        # f(x) = x / 4 on the diagonal; an evaluator may hand back one
+        # buffer per shape, so f(x_hat) must not be overwritten by f(y_hat)
+        buffers = {}
+
+        def reuse(x, y):
+            out = buffers.setdefault(x.shape, np.empty(x.shape))
+            return np.multiply(2.0 * x - y, 0.25, out=out)
+
+        params = ContractionParams(0.1, 0.5)
+        fresh = CoupledMap("fresh", 1, lambda x, y: (2.0 * x - y) * 0.25, [-2.0], [2.0])
+        reused = CoupledMap("reused", 1, reuse, [-2.0], [2.0])
+        want = dass_gupta_margin(SPACE1, fresh, params, [1.0], [-1.0])
+        assert want == pytest.approx(0.54375, abs=1e-15)
+        assert dass_gupta_margin(SPACE1, reused, params, [1.0], [-1.0]) == want
 
     def test_linear_value(self, linear):
         params = ContractionParams(0.1, 0.5)
@@ -227,7 +330,7 @@ class TestMixedMonotone:
 
     def test_constant_map_not_falsified(self):
         F = CoupledMap(
-            "const", 2, lambda x, y: np.zeros(2), lower=[-1.0, -1.0], upper=[1.0, 1.0]
+            "const", 2, lambda x, y: np.zeros_like(x), lower=[-1.0, -1.0], upper=[1.0, 1.0]
         )
         report = mixed_monotone_check(F, 300, rng_seed=5)
         assert report.violations == 0

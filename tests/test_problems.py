@@ -128,7 +128,7 @@ def kernel_rows(monkeypatch):
     product = problems._kernel_product
 
     def counting(kernel, d):
-        counts.append(len(np.atleast_2d(d)))
+        counts.append(len(d))
         return product(kernel, d)
 
     monkeypatch.setattr(problems, "_kernel_product", counting)
@@ -160,7 +160,8 @@ class TestIntegralSharedProducts:
         F = get_builtin("integral_demo", n).map
         X, Y = sharing_stack(np.random.default_rng(n), n)
         for x, y, expected in zip(X, Y, integral_reference(n, X, Y)):
-            assert F.evaluator(x, y).tobytes() == expected.tobytes()
+            assert F.evaluator(x[None], y[None]).tobytes() == expected.tobytes()
+            assert F.evaluate(x, y).tobytes() == expected.tobytes()
 
     def test_certify_runs_half_the_map_rows(self, kernel_rows):
         spec = get_builtin("integral_demo", 16)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from coupledfp import (
     DimensionMismatchError,
@@ -15,8 +16,13 @@ from coupledfp import (
     leq,
     product_leq,
 )
+from coupledfp.spaces import row_distances
 
 DIM3 = SpaceDescriptor(dim=3)
+
+# The definition of `distance` before it became a one-row call of
+# `row_distances`: the floats that both must keep.
+NORM_ORDER = {"euclidean": 2, "max": np.inf, "l1": 1}
 
 
 def coords(dim=3):
@@ -89,6 +95,19 @@ class TestDistance:
             assert dpq == distance(space, q, p)
             assert distance(space, p, p) == 0.0
             assert dpq <= distance(space, p, r) + distance(space, r, q) + 1e-12
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 40) | st.sampled_from([255, 1024]), st.data())
+    def test_distances_equal_norm_bit_for_bit(self, rows, dim, data):
+        finite = st.floats(min_value=-1e150, max_value=1e150)
+        P, Q = (data.draw(arrays(float, (rows, dim), elements=finite)) for _ in range(2))
+        for metric, order in NORM_ORDER.items():
+            space = SpaceDescriptor(dim=dim, metric=metric)
+            want = np.array([np.linalg.norm(p - q, order) for p, q in zip(P, Q)])
+            assert row_distances(space, P, Q).tobytes() == want.tobytes()
+            one = np.array([distance(space, p, q) for p, q in zip(P, Q)])
+            assert one.tobytes() == want.tobytes()
 
 
 class TestOrder:
