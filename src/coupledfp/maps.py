@@ -86,9 +86,12 @@ class CoupledMap:
     are claimed; evaluation outside it raises :class:`DomainError`.
 
     `evaluate_rows` makes one evaluator call per stack, and `evaluate` is
-    its one-row call. Expression maps from configs evaluate a stack column
-    by column (`expressions.evaluate_components`), keeping every float of
-    the one-row tree walk, transcendental functions included.
+    its one-row call. The evaluator may hand back one output buffer of its
+    own on every call, and both return that buffer (or a row of it), so a
+    caller that keeps an image past the next call copies it. Expression
+    maps from configs evaluate a stack column by column
+    (`expressions.evaluate_components`), keeping every float of the one-row
+    tree walk, transcendental functions included.
     """
 
     name: str

@@ -4,13 +4,17 @@
     PYTHONPATH=src python tests/data/make_cli_golden.py
     PYTHONPATH=src python tests/data/make_cli_golden.py --check
 
-Run it without --check only against the commit whose output the file pins
-(the commit before batched margin evaluation), never to refresh the file
-after a change to the program: tests/test_cli_golden.py replays every entry
-and requires byte-identical output. --check replays the file the same way
-without pytest and never writes it: it prints the first differing argv with
-a unified diff of its stdout or stderr and exits 1, or exits 0 when every
-entry is byte-identical. Entries that exit 1 also keep stderr, so that error
+Run it without --check only against a commit whose output the file pins,
+never to refresh the file after a change to the program:
+tests/test_cli_golden.py replays every entry and requires byte-identical
+output. The first 118 entries pin the commit before batched margin
+evaluation. The last ten, `estimate` at 1, 100, 500, 3000 and the default
+10 000 samples with their --json twins, were appended at the commit before
+the batched ratio search, which printed the first 118 byte for byte, so
+writing the file there only appended entries. --check replays the file
+the same way without pytest and never writes it: it prints the first
+differing argv with a unified diff of its stdout or stderr and exits 1, or
+exits 0 when every entry is byte-identical. Entries that exit 1 also keep stderr, so that error
 messages naming the first bad row stay pinned. Config paths in argv are
 relative to this directory.
 """
@@ -47,6 +51,12 @@ EXTRA = [
     ["certify", "--config", "configs/expr_ln.json", "--samples", "100"],
     ["certify", "--config", "configs/expr_flip.json", "--samples", "100"],
     ["list-builtins"],
+    # Sample counts that drive each number of bisection levels per pass.
+    ["estimate", "--problem", "linear_demo", "--samples", "1"],
+    ["estimate", "--problem", "affine_demo", "--samples", "100"],
+    ["estimate", "--config", "configs/expr_2d.json", "--samples", "500"],
+    ["estimate", "--config", "configs/expr_4d.json", "--samples", "3000"],
+    ["estimate", "--problem", "linear_demo"],
 ]
 
 

@@ -1,14 +1,19 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coupledfp import (
     ContractionParams,
     CoupledMap,
     InputError,
     Pair,
+    ParamEstimate,
+    SampleSet,
     SpaceDescriptor,
     certify_region,
     contraction_margin,
@@ -22,6 +27,8 @@ from coupledfp import (
     rational_min_term,
     sample_comparable_pairs,
 )
+from coupledfp import certificate
+from coupledfp.certificate import ALPHA_INSET, RATIO_TOL
 from coupledfp.cli import main
 
 ADVERSARIAL = (Pair([0.1], [-0.29]), Pair([0.01], [-0.02]))
@@ -127,6 +134,31 @@ class TestDirected:
         assert len(samples) > 0
         for s in samples:
             assert F.contains(s.a.first) and F.contains(s.a.second)
+
+    def test_evaluator_reusing_its_output_buffer(self):
+        # (x - y) / 4 on [-2, 2]: an evaluator may hand back one buffer per
+        # shape, which must not overwrite the walk's earlier iterates
+        buffers = {}
+
+        def reuse(x, y):
+            out = buffers.setdefault(x.shape, np.empty(x.shape))
+            return np.multiply(x - y, 0.25, out=out)
+
+        space = SpaceDescriptor(dim=1)
+        fresh = CoupledMap("fresh", 1, lambda x, y: (x - y) * 0.25, [-2.0], [2.0])
+        reused = CoupledMap("reused", 1, reuse, [-2.0], [2.0])
+        want, got = directed_pairs(space, fresh), directed_pairs(space, reused)
+        # the walk's first pair: a = F applied once to b = (-2, 2)
+        assert (-1.0, 1.0) in [(s.a.first[0], s.a.second[0]) for s in got]
+        assert len(want.parts) == len(got.parts) == 1
+        for w, g in zip(
+            (*want.parts[0], want.image_distance, want.rational_term, want.distance_sum),
+            (*got.parts[0], got.image_distance, got.rational_term, got.distance_sum),
+        ):
+            assert w.tobytes() == g.tobytes()
+        params = ContractionParams(0.1, 0.5)
+        reports = (certify_region(space, F, params, count=50, rng_seed=3) for F in (fresh, reused))
+        assert json.dumps(next(reports).to_jsonable()) == json.dumps(next(reports).to_jsonable())
 
     def test_certify_on_walk_leaving_box_is_a_finding(self, capsys):
         code = main(["certify", "--config", EXPR_FLIP, "--samples", "100"])
@@ -266,3 +298,158 @@ from contextlib import contextmanager
 @contextmanager
 def _noop():
     yield
+
+
+def reference_alpha_interval(r: float, samples: SampleSet) -> tuple[float, float]:
+    """The feasible alpha interval at one ratio, one pass per ratio: the
+    search's first definition, kept as the oracle for the batched one."""
+    with np.errstate(invalid="ignore"):
+        slope = samples.rational_term - 0.5 * r * samples.distance_sum
+        offset = samples.image_distance - 0.5 * r * samples.distance_sum
+    lo, hi = 0.0, 1.0 - ALPHA_INSET
+    pos = slope > 0
+    neg = slope < 0
+    zero = ~pos & ~neg
+    if np.any(offset[zero] > 0):
+        return 1.0, 0.0
+    with np.errstate(invalid="ignore"):
+        if np.any(pos):
+            lo = max(lo, float(np.max(offset[pos] / slope[pos])))
+        if np.any(neg):
+            hi = min(hi, float(np.min(offset[neg] / slope[neg])))
+    return lo, hi
+
+
+def reference_estimate(samples: SampleSet) -> ParamEstimate:
+    """`estimate_params` as a bisection that tests one midpoint per pass."""
+
+    def feasible(r: float) -> bool:
+        lo, hi = reference_alpha_interval(r, samples)
+        return lo <= hi
+
+    r_hi = 1.0 - RATIO_TOL
+    if not feasible(r_hi):
+        return ParamEstimate(False, None, None, None, len(samples))
+    r_lo = 0.0
+    while r_hi - r_lo > RATIO_TOL:
+        mid = 0.5 * (r_lo + r_hi)
+        if feasible(mid):
+            r_hi = mid
+        else:
+            r_lo = mid
+    r_star = max(r_hi, RATIO_TOL)
+    lo, hi = reference_alpha_interval(r_star, samples)
+    alpha = min(hi, lo + ALPHA_INSET) if lo > 0 else lo
+    beta = r_star * (1.0 - alpha)
+    return ParamEstimate(True, r_star, float(alpha), float(beta), len(samples))
+
+
+def same_float(a, b) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def first_midpoints(levels: int = 3) -> list[float]:
+    """The midpoints the bisection can test in its first ``levels`` steps."""
+    mids, brackets = [], [(0.0, 1.0 - RATIO_TOL)]
+    for _ in range(levels):
+        deeper = []
+        for a, b in brackets:
+            mid = 0.5 * (a + b)
+            mids.append(mid)
+            deeper += [(a, mid), (mid, b)]
+        brackets = deeper
+    return mids
+
+
+# Sample counts at the edges of each number of bisection levels per pass.
+EDGE_COUNTS = [1, 66, 67, 136, 137, 292, 293, 682, 683, 3000, 5000]
+
+
+@st.composite
+def term_sets(draw):
+    """Margin terms of n samples, with rows that make ties, zero slopes at
+    the first midpoints, infeasible sets and sets feasible at every ratio."""
+    n = draw(st.sampled_from(EDGE_COUNTS) | st.integers(1, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    span = rng.uniform(0.0, 4.0, n)
+    term = rng.uniform(0.0, 2.0, n) * draw(st.sampled_from([0.0, 0.1, 1.0]))
+    # image distance as a share of the span: 0 leaves every ratio feasible
+    # (the floor), above 1/2 with a vanishing term none
+    growth = draw(st.sampled_from([0.0, 1e-9, 0.25, 0.5, 0.9, 2.0]))
+    image = growth * span * rng.uniform(0.0, 1.0, n)
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=8)):
+        kind = draw(st.sampled_from(["span", "image", "-0", "inf", "slope"]))
+        if kind == "span":
+            span[i] = 0.0
+        elif kind == "image":
+            image[i] = 0.0
+        elif kind == "-0":
+            # offset -0.0 at every ratio: a lo of -0.0 must clip to +0.0
+            span[i], image[i] = 0.0, -0.0
+        elif kind == "inf":
+            # non-finite terms give infinite or NaN slopes, offsets and bounds
+            inf, nan = np.inf, np.nan
+            span[i], term[i], image[i] = draw(
+                st.sampled_from(
+                    [
+                        (inf, 1.0, 1.0),
+                        (inf, inf, 1.0),
+                        (inf, 1.0, inf),
+                        (inf, inf, inf),
+                        (1.0, nan, 1.0),
+                        (1.0, 1.0, nan),
+                    ]
+                )
+            )
+        else:
+            # slope exactly 0 at midpoint m, with an offset of either sign or 0
+            span[i] = min(span[i], 4.0)
+            h = (0.5 * draw(st.sampled_from(first_midpoints()))) * span[i]
+            term[i] = h
+            image[i] = h * draw(st.sampled_from([0.0, 0.5, 1.0, 1.5]))
+    return SampleSet((), image, term, span)
+
+
+class TestRatioSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(term_sets(), st.lists(st.floats(0.0, 1.0), max_size=4))
+    def test_matches_one_midpoint_per_pass(self, samples, extra):
+        ratios = np.array([1.0 - RATIO_TOL, *first_midpoints(), RATIO_TOL, *extra])
+        lo, hi = certificate._alpha_interval(ratios, samples)
+        for i, r in enumerate(ratios.tolist()):
+            want_lo, want_hi = reference_alpha_interval(r, samples)
+            assert same_float(lo[i], want_lo) and same_float(hi[i], want_hi)
+
+        got, want = estimate_params(samples), reference_estimate(samples)
+        assert (got.feasible, got.ratio, got.beta, got.sample_count) == (
+            want.feasible,
+            want.ratio,
+            want.beta,
+            want.sample_count,
+        )
+        assert got.alpha is want.alpha is None or same_float(got.alpha, want.alpha)
+
+    @pytest.mark.parametrize(
+        "n, levels, floor", [(None, 5, True), (1, 5, False), (300, 2, False), (10_000, 1, False)]
+    )
+    def test_pass_count(self, linear, monkeypatch, n, levels, floor):
+        passes = []
+        alpha_interval = certificate._alpha_interval
+
+        def counted(ratios, samples):
+            passes.append(len(ratios))
+            return alpha_interval(ratios, samples)
+
+        monkeypatch.setattr(certificate, "_alpha_interval", counted)
+        if n is not None:
+            samples = sample_comparable_pairs(linear.space, linear.map, n, 42)
+        else:  # one sample at the fixed pair: every ratio is feasible
+            zero = Pair([0.0], [0.0])
+            samples = explicit_pairs(linear.space, linear.map, [(zero, zero)])
+        estimate = estimate_params(samples)
+        assert (estimate.ratio == RATIO_TOL) is floor
+        # Bisecting (0, 1 - RATIO_TOL) down to RATIO_TOL takes 20 levels,
+        # decided `levels` at a time; a ratio clamped to the floor needs its
+        # own alpha interval.
+        assert len(passes) == math.ceil(20 / levels) + floor
+        assert passes[0] == 2**levels  # the top ratio and 2^k - 1 midpoints
