@@ -11,9 +11,9 @@ Samples live in a `SampleSet`, one row per ordered pair of pairs, and
 scoring (`evaluate_samples`, `estimate_params`) takes nothing else. Three
 builders make one: `sample_comparable_pairs` (the uniform draw),
 `directed_pairs` (diagonals, box extremes and a short iteration walk) and
-`explicit_pairs` (hand-made pairs). Violations like to hide near thin sets
-where the rational term vanishes, so `certify_region` always mixes the
-directed family, and any user-registered adversaries, into the uniform draw.
+`explicit_pairs` (hand-made pairs), and `+` joins sets. Violations like to
+hide near thin sets where the rational term vanishes, so `certify_region`
+always mixes the directed family into the uniform draw.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .maps import ContractionParams, CoupledMap, _images, margin_terms
-from .spaces import Pair, SpaceDescriptor, product_leq, rows_leq
+from .spaces import Pair, SpaceDescriptor, _check_dims, rows_product_leq
 
 # Resolution of the bisection search for the minimal feasible ratio.
 RATIO_TOL = 1e-6
@@ -126,14 +126,15 @@ def explicit_pairs(
     space: SpaceDescriptor, F: CoupledMap, pairs: list[tuple[Pair, Pair]]
 ) -> SampleSet:
     """The SampleSet of given (a, b) pairs, in order; each must have b <= a."""
-    for a, b in pairs:
-        if not product_leq(space, b, a):
-            raise InputError("sample pairs require b <= a in the pair order")
     if not pairs:
         empty = np.empty((0, F.dim))
         return _sample_set(space, F, empty, empty, empty, empty)
+    _check_dims(space, *(p.first for pair in pairs for p in pair))
     stacks = zip(*((a.first, a.second, b.first, b.second) for a, b in pairs))
-    return _sample_set(space, F, *(np.array(stack) for stack in stacks))
+    a_first, a_second, b_first, b_second = (np.array(stack) for stack in stacks)
+    if not rows_product_leq(b_first, b_second, a_first, a_second).all():
+        raise InputError("sample pairs require b <= a in the pair order")
+    return _sample_set(space, F, a_first, a_second, b_first, b_second)
 
 
 def sample_comparable_pairs(
@@ -193,9 +194,9 @@ def directed_pairs(space: SpaceDescriptor, F: CoupledMap) -> SampleSet:
 
     a_first, a_second, b_first, b_second = (np.array(s) for s in zip(*candidates))
     # Keep b <= a with a in the box. Every b is in the box, so b <= a already
-    # gives a_first >= lo and a_second <= hi.
-    keep = rows_leq(b_first, a_first) & rows_leq(a_second, b_second)
-    keep &= rows_leq(a_first, hi) & rows_leq(lo, a_second)
+    # gives a_first >= lo and a_second <= hi, and a <= (hi, lo) gives the rest.
+    keep = rows_product_leq(b_first, b_second, a_first, a_second)
+    keep &= rows_product_leq(a_first, a_second, hi, lo)
     return _sample_set(space, F, a_first[keep], a_second[keep], b_first[keep], b_second[keep])
 
 
@@ -263,19 +264,16 @@ def certify_region(
     params: ContractionParams,
     count: int = 10_000,
     rng_seed: int = 0,
-    adversarial_pairs: list[tuple[Pair, Pair]] | None = None,
 ) -> CertificateReport:
     """Falsification-style certificate for (alpha, beta) on the map's box.
 
     Draws ``count`` random ordered pairs, adds the deterministic directed
-    family and any user-registered adversarial pairs, and aggregates the
-    margins. Zero violations means the hypothesis survived this sample set,
-    nothing stronger. For the uniform draw alone, pass
-    `sample_comparable_pairs` to `evaluate_samples`.
+    family, and aggregates the margins. Zero violations means the
+    hypothesis survived this sample set, nothing stronger. For other sample
+    sets, such as the uniform draw alone or one joined with hand-made pairs
+    by `+ explicit_pairs(...)`, pass the set to `evaluate_samples`.
     """
     samples = sample_comparable_pairs(space, F, count, rng_seed) + directed_pairs(space, F)
-    if adversarial_pairs:
-        samples += explicit_pairs(space, F, adversarial_pairs)
     return evaluate_samples(params, samples)
 
 

@@ -146,8 +146,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    if args.samples < 1:
-        raise InputError("certify needs --samples >= 1")
     problem = _load_problem(args)
     params = _params_from(args, problem, required=True)
     report = certify_region(
@@ -179,8 +177,6 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    if args.samples < 1:
-        raise InputError("estimate needs --samples >= 1")
     problem = _load_problem(args)
     samples = sample_comparable_pairs(problem.space, problem.map, args.samples, args.rng_seed)
     estimate = estimate_params(samples)
@@ -202,8 +198,6 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_check_monotone(args) -> int:
-    if args.samples < 1:
-        raise InputError("check-monotone needs --samples >= 1")
     problem = _load_problem(args)
     report = mixed_monotone_check(problem.map, args.samples, args.rng_seed)
     payload = {
@@ -227,8 +221,6 @@ def _cmd_check_monotone(args) -> int:
 
 
 def _cmd_probe_uniqueness(args) -> int:
-    if args.samples < 1:
-        raise InputError("probe-uniqueness needs --samples >= 1")
     problem = _load_problem(args)
     params = _params_from(args, problem, required=False)
     config = IterationConfig(max_iter=args.max_iter, tol=args.tol, params=params)
@@ -353,6 +345,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "rng_seed", 0) < 0:
             raise InputError(f"--rng-seed must be >= 0, got {args.rng_seed}")
+        if getattr(args, "samples", 1) < 1:
+            raise InputError(f"{args.command} needs --samples >= 1")
         return args.handler(args)
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)

@@ -29,10 +29,13 @@ from .maps import ContractionParams, CoupledMap
 from .spaces import (
     Pair,
     SpaceDescriptor,
+    _check_dims,
+    _positive_int,
     as_point,
     leq,
     row_distances,
     rows_leq,
+    rows_product_leq,
 )
 
 # Iterates may drift past the strict domain box before divergence is called;
@@ -58,8 +61,7 @@ class IterationConfig:
     params: ContractionParams | None = None
 
     def __post_init__(self):
-        if not isinstance(self.max_iter, int) or self.max_iter < 1:
-            raise InputError(f"max_iter must be a positive integer, got {self.max_iter!r}")
+        _positive_int(self.max_iter, "max_iter must be a positive integer, got {!r}")
         if not (0 < float(self.tol) < math.inf):
             raise InputError(f"tol must be finite and > 0, got {self.tol!r}")
 
@@ -141,13 +143,6 @@ class SolveResult:
     components_equal: bool
 
 
-def _check_space(space: SpaceDescriptor, F: CoupledMap) -> None:
-    if space.dim != F.dim:
-        raise DimensionMismatchError(
-            f"point of dimension {F.dim} in a space of dimension {space.dim}"
-        )
-
-
 def check_seed_condition(space: SpaceDescriptor, F: CoupledMap, x0, y0) -> bool:
     """x0 <= F(x0, y0) and F(y0, x0) <= y0."""
     x0 = as_point(x0, dim=F.dim)
@@ -167,7 +162,7 @@ def verify_coupled_fixed_point(
     One `evaluate_rows([x; y], [y; x])` call and one `row_distances` call,
     the computation of `_run`'s final check.
     """
-    _check_space(space, F)
+    _check_dims(space, F.lower)
     xyx = np.stack((pair.first, pair.second, pair.first))
     img = F.evaluate_rows(xyx[:2], xyx[1:], padding)
     residual = float(row_distances(space, img, xyx[:2]).max())
@@ -207,36 +202,35 @@ def _step_images(F: CoupledMap, live: np.ndarray, xyx: np.ndarray, errors: list,
 def _run(
     space: SpaceDescriptor,
     F: CoupledMap,
-    seeds: Sequence,
+    X: np.ndarray,
+    Y: np.ndarray,
     config: IterationConfig,
     trace: IterationTrace | None = None,
 ) -> tuple[list[SolveResult | None], list[DivergenceError | None]]:
-    """The coupled iteration from every (x0, y0) in ``seeds``, as one stack.
+    """The coupled iteration from every seed (X[k], Y[k]), as one stack.
 
-    The m seeds still running form the stack cur = [x; y] of 2m rows, and
-    each step is one `evaluate_rows(cur, [y; x])` call, whose images
-    [F(x, y); F(y, x)] are the next stack, and one `row_distances` call for
-    both gaps. Each seed stops on its own stopping rule; only at a step
-    where some seed stops, or at ``max_iter``, are the stopped seeds' last
-    iterates, step counts and stop flags written out and their rows
-    dropped from the stack. Returns one SolveResult or None per seed and,
-    for a seed that diverged, the DivergenceError its run raised.
+    X and Y are (S, dim) stacks of finite seed rows, owned by the run: it
+    writes each seed's last iterate over its rows. The m seeds still
+    running form the stack cur = [x; y] of 2m rows, and each step is one
+    `evaluate_rows(cur, [y; x])` call, whose images [F(x, y); F(y, x)] are
+    the next stack, and one `row_distances` call for both gaps. Each seed
+    stops on its own stopping rule; only at a step where some seed stops,
+    or at ``max_iter``, are the stopped seeds' last iterates, step counts
+    and stop flags written out and their rows dropped from the stack.
+    Returns one SolveResult or None per seed and, for a seed that diverged,
+    the DivergenceError its run raised.
 
     The seed check is one such call on the strict box, and its images are
     also step 0's, since the strict box lies inside the padded one. A seed
     check that raises is redone seed by seed with `check_seed_condition`,
     whose DomainError for a seed outside the box propagates, and step 0 is
     then evaluated as any other step. ``trace`` records the steps of a
-    one-seed run.
+    one-seed run, without their bounds.
     """
+    _check_dims(space, F.lower)
     tol = config.tol
     ratio = config.params.ratio if config.params is not None else None
-    points = [(as_point(x0, dim=F.dim), as_point(y0, dim=F.dim)) for x0, y0 in seeds]
-    X = np.array([x for x, _ in points])
-    Y = np.array([y for _, y in points])
-    _check_space(space, F)
-
-    S = len(seeds)
+    S = len(X)
     errors: list[DivergenceError | None] = [None] * S
     iterations = np.zeros(S, dtype=int)
     stopped = np.zeros(S, dtype=bool)
@@ -245,10 +239,10 @@ def _run(
     try:
         img = F.evaluate_rows(xyx[: 2 * S], xyx[S:])
     except DomainError:
-        seed_ok = [check_seed_condition(space, F, x, y) for x, y in points]
+        seed_ok = [check_seed_condition(space, F, x, y) for x, y in zip(X, Y)]
         live, xyx, img = _step_images(F, live, xyx, errors, "iteration")
     else:
-        seed_ok = rows_leq(X, img[:S]) & rows_leq(img[S:], Y)
+        seed_ok = rows_product_leq(X, Y, img[:S], img[S:])
 
     for n in range(config.max_iter):
         if n:
@@ -256,11 +250,8 @@ def _run(
         m = len(live)
         gaps = row_distances(space, img, xyx[: 2 * m])
         if trace is not None and m:
-            gap_x0, gap_y0 = float(gaps[0]), float(gaps[m])
-            if n == 0:
-                base_gap = 0.5 * (gap_x0 + gap_y0)
-            bound = None if ratio is None else ratio**n * base_gap
-            trace.entries.append(TraceEntry(n, xyx[0], xyx[m], gap_x0, gap_y0, bound))
+            gap_x, gap_y = float(gaps[0]), float(gaps[m])
+            trace.entries.append(TraceEntry(n, xyx[0], xyx[m], gap_x, gap_y, None))
         worst_gap = np.maximum(gaps[:m], gaps[m:])
         # The stopping rule of IterationConfig.
         tail = worst_gap if ratio is None else worst_gap * ratio / (1.0 - ratio)
@@ -318,10 +309,17 @@ def iterate(
     `uniqueness_probe` runs on all its seeds at once.
     """
     config = config or IterationConfig()
+    X = np.array([as_point(x0, dim=F.dim)])
+    Y = np.array([as_point(y0, dim=F.dim)])
     trace = IterationTrace()
-    (result,), (error,) = _run(space, F, [(x0, y0)], config, trace)
+    (result,), (error,) = _run(space, F, X, Y, config, trace)
     if error is not None:
         raise error
+    if config.params is not None:
+        d0 = trace.initial_mean_gap()
+        trace.entries = [
+            TraceEntry(*e[:5], apriori_gap_bound(config.params, d0, e.n)) for e in trace.entries
+        ]
     return result, trace
 
 
@@ -393,31 +391,38 @@ class ChainReport:
 def check_monotone_chain(
     space: SpaceDescriptor, trace: IterationTrace, limit: Pair
 ) -> ChainReport:
-    """Check ascent of x_n, descent of y_n, and comparison with the limit."""
-    if not trace.entries:
-        raise InputError("empty trace")
-    violations: list[ChainViolation] = []
+    """Check ascent of x_n, descent of y_n, and comparison with the limit.
+
+    Each check is one `rows_leq` call over the stacked trace. The first
+    violation is one at the least step; within a step, the monotone checks
+    come before the limit checks and x before y.
+    """
     entries = trace.entries
-    chain = [(e.n, e.x, e.y) for e in entries]
-    chain.append((entries[-1].n + 1, limit.first, limit.second))
-    for (n, x_cur, y_cur), (_, x_nxt, y_nxt) in zip(chain, chain[1:]):
-        if not leq(space, x_cur, x_nxt):
-            violations.append(ChainViolation(n, "x-monotone"))
-        if not leq(space, y_nxt, y_cur):
-            violations.append(ChainViolation(n, "y-monotone"))
-    monotone_ok = not violations
-    limit_violations: list[ChainViolation] = []
-    for e in entries:
-        if not leq(space, e.x, limit.first):
-            limit_violations.append(ChainViolation(e.n, "x-limit"))
-        if not leq(space, limit.second, e.y):
-            limit_violations.append(ChainViolation(e.n, "y-limit"))
-    all_violations = sorted(violations + limit_violations, key=lambda v: v.step)
+    if not entries:
+        raise InputError("empty trace")
+    X = np.array([e.x for e in entries])
+    Y = np.array([e.y for e in entries])
+    _check_dims(space, X[0], Y[0], limit.first)
+    X_next = np.concatenate((X[1:], limit.first[None]))
+    Y_next = np.concatenate((Y[1:], limit.second[None]))
+    # failed[g, k, i]: check k of group g (monotone, then limit) fails at entry i
+    failed = ~np.array([
+        [rows_leq(X, X_next), rows_leq(Y_next, Y)],
+        [rows_leq(X, limit.first), rows_leq(limit.second, Y)],
+    ])
+    # np.nonzero walks (g, i, k) in the order the report ranks a step's failures
+    g, i, k = np.nonzero(failed.transpose(0, 2, 1))
+    first = None
+    if len(i):
+        steps = np.array([e.n for e in entries])[i]
+        j = int(np.argmin(steps))
+        kinds = ("x-monotone", "y-monotone", "x-limit", "y-limit")
+        first = ChainViolation(int(steps[j]), kinds[2 * g[j] + k[j]])
     return ChainReport(
         entries_checked=len(entries),
-        monotone_ok=monotone_ok,
-        limit_ok=not limit_violations,
-        first_violation=all_violations[0] if all_violations else None,
+        monotone_ok=not failed[0].any(),
+        limit_ok=not failed[1].any(),
+        first_violation=first,
     )
 
 
@@ -481,7 +486,12 @@ def uniqueness_probe(
         raise InputError("at least one seed is required")
     config = config or IterationConfig()
     tol = config.tol
-    results, errors = _run(space, F, [(s.first, s.second) for s in seeds], config)
+    for seed in seeds:
+        if seed.dim != F.dim:
+            raise DimensionMismatchError(f"expected dimension {F.dim}, got {seed.dim}")
+    X0 = np.array([s.first for s in seeds])
+    Y0 = np.array([s.second for s in seeds])
+    results, errors = _run(space, F, X0, Y0, config)
     runs = [
         SeedRun(seed, result, None if error is None else str(error))
         for seed, result, error in zip(seeds, results, errors)
@@ -501,7 +511,7 @@ def uniqueness_probe(
     max_dist = float(max(pair_max)) if pair_max else None
     bridge = Pair(X.max(axis=0), Y.min(axis=0)) if limits else None
     bridge_ok = bridge is None or bool(
-        np.all(rows_leq(X, bridge.first) & rows_leq(bridge.second, Y))
+        rows_product_leq(X, Y, bridge.first, bridge.second).all()
     )
     agree = len(limits) == len(runs) and (max_dist is None or max_dist <= 2.0 * tol)
     return UniquenessReport(

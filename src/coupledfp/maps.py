@@ -20,7 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ComparabilityError, DimensionMismatchError, DomainError, InputError
-from .spaces import Pair, SpaceDescriptor, as_point, distance, product_leq, row_distances
+from .spaces import Pair, SpaceDescriptor, as_point, product_leq, row_distances
+from .spaces import _check_dims, _positive_int
 
 # Floats in one stack of map arguments: sampled checks evaluate their images
 # in blocks of this size, so memory stays bounded whatever the sample count.
@@ -103,39 +104,28 @@ class CoupledMap:
     _padded: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        _positive_int(self.dim, "dim must be a positive integer, got {!r}")
         lower = as_point(self.lower, dim=self.dim)
         upper = as_point(self.upper, dim=self.dim)
         if np.any(lower > upper):
             raise InputError(f"empty domain box for map {self.name!r}: lower > upper")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+        # the box itself, also where its width overflows to inf
+        self._padded[1.0] = (lower, upper)
 
-    def contains(self, p: np.ndarray, padding: float = 1.0) -> bool:
-        """Whether p lies in the box inflated about its center by ``padding``.
-
-        Each side moves out by (padding - 1) / 2 of the box width, so with
-        the default padding the bounds are exactly ``lower`` and ``upper``.
-        """
-        lo, hi = self._bounds(padding)
-        return bool(np.all(p >= lo) and np.all(p <= hi))
+    def contains(self, p: np.ndarray) -> bool:
+        """Whether p lies in the domain box, ``lower <= p <= upper``."""
+        return bool(np.all(p >= self.lower) and np.all(p <= self.upper))
 
     def _bounds(self, padding: float) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper corner of the box inflated by ``padding``, computed once."""
+        """Corners of the box with each side moved out by (padding - 1) / 2 of
+        its width (``lower`` and ``upper`` at padding 1), computed once."""
         bounds = self._padded.get(padding)
         if bounds is None:
             grow = 0.5 * (padding - 1.0) * (self.upper - self.lower)
             bounds = self._padded[padding] = (self.lower - grow, self.upper + grow)
         return bounds
-
-    def _check_args(self, x, y, padding: float) -> None:
-        """Raise for a row with an argument that is not finite or not in the padded box."""
-        x = as_point(x, dim=self.dim)
-        y = as_point(y, dim=self.dim)
-        for p in (x, y):
-            if not self.contains(p, padding):
-                raise DomainError(
-                    f"input {p.tolist()} outside the domain box of {self.name!r}"
-                )
 
     def _evaluate_stack(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """One evaluator call on in-box rows, with its images checked."""
@@ -163,7 +153,9 @@ class CoupledMap:
         Checks that every argument is finite and in the box inflated by
         ``padding``, and that every image has the stack's shape and is
         finite. A failure names the first bad row, with the message a
-        one-row call on that row gives.
+        one-row call on that row gives: its first argument that is not
+        finite (InputError), else its first argument outside the box
+        (DomainError).
         """
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
@@ -175,14 +167,14 @@ class CoupledMap:
         # Both stacks are checked whole and at once (np.minimum and np.maximum
         # propagate NaN, so a NaN argument fails here too); row masks are
         # built only to name the first bad row.
-        good = len(X)
-        if not ((lo <= np.minimum(X, Y)) & (np.maximum(X, Y) <= hi)).all():
-            inside = np.all((X >= lo) & (X <= hi), axis=1) & np.all((Y >= lo) & (Y <= hi), axis=1)
-            good = int(np.argmin(inside))
-        out = self._evaluate_stack(X[:good], Y[:good])
-        if good < len(X):
-            self._check_args(X[good], Y[good], padding)  # raises for this row
-        return out
+        if ((lo <= np.minimum(X, Y)) & (np.maximum(X, Y) <= hi)).all():
+            return self._evaluate_stack(X, Y)
+        x_in = np.all((X >= lo) & (X <= hi), axis=1)
+        good = int(np.argmin(x_in & np.all((Y >= lo) & (Y <= hi), axis=1)))
+        self._evaluate_stack(X[:good], Y[:good])  # an earlier row's failure comes first
+        x, y = as_point(X[good]), as_point(Y[good])  # raise for a non-finite argument
+        outside = y if x_in[good] else x
+        raise DomainError(f"input {outside.tolist()} outside the domain box of {self.name!r}")
 
 
 def _sample_blocks(n: int, dim: int, images: int):
@@ -191,7 +183,7 @@ def _sample_blocks(n: int, dim: int, images: int):
     return ((lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
-def _images(F: CoupledMap, args, padding: float = 1.0) -> list[np.ndarray]:
+def _images(F: CoupledMap, args) -> list[np.ndarray]:
     """F at each (first, second) pair of row stacks, in one checked call.
 
     The stacks are interleaved row by row, so a failure names the same row
@@ -199,7 +191,7 @@ def _images(F: CoupledMap, args, padding: float = 1.0) -> list[np.ndarray]:
     """
     first = np.concatenate([p for p, _ in args], axis=1).reshape(-1, F.dim)
     second = np.concatenate([q for _, q in args], axis=1).reshape(-1, F.dim)
-    out = F.evaluate_rows(first, second, padding).reshape(-1, len(args), F.dim)
+    out = F.evaluate_rows(first, second).reshape(-1, len(args), F.dim)
     return [out[:, j] for j in range(len(args))]
 
 
@@ -220,10 +212,7 @@ def margin_terms(
     vanishes whenever either pair is a coupled fixed pair. Each of the four
     images is evaluated once per row, in blocks of bounded size.
     """
-    if space.dim != F.dim:
-        raise DimensionMismatchError(
-            f"point of dimension {F.dim} in a space of dimension {space.dim}"
-        )
+    _check_dims(space, F.lower)
     n = len(x)
     image_distance, rational_term, distance_sum = np.empty(n), np.empty(n), np.empty(n)
     for lo, hi in _sample_blocks(n, F.dim, 4):
@@ -302,15 +291,12 @@ def dass_gupta_margin(
     y_hat = as_point(y_hat, dim=F.dim)
     diagonal = np.stack((x_hat, y_hat))
     f_x, f_y = F.evaluate_rows(diagonal, diagonal)
-    gap = distance(space, x_hat, y_hat)
-    rhs = (
-        params.alpha
-        * distance(space, y_hat, f_y)
-        * (1.0 + distance(space, x_hat, f_x))
-        / (1.0 + gap)
-        + params.beta * gap
-    )
-    return rhs - distance(space, f_x, f_y)
+    _check_dims(space, x_hat)
+    gap, disp_y, disp_x, image_gap = row_distances(
+        space, np.stack((x_hat, y_hat, x_hat, f_x)), np.stack((y_hat, f_y, f_x, f_y))
+    ).tolist()
+    rhs = params.alpha * disp_y * (1.0 + disp_x) / (1.0 + gap) + params.beta * gap
+    return rhs - image_gap
 
 
 @dataclass(frozen=True)
@@ -353,8 +339,7 @@ def mixed_monotone_check(F: CoupledMap, sample_count: int, rng_seed: int) -> Mon
     checks F(x1, y) <= F(x2, y) and F(x, y1) >= F(x, y2) coordinatewise.
     Deterministic for a given ``rng_seed``.
     """
-    if sample_count < 1:
-        raise InputError(f"sample_count must be >= 1, got {sample_count}")
+    _positive_int(sample_count, "sample_count must be >= 1, got {!r}")
     rng = np.random.default_rng(rng_seed)
     # One block draw so the stream layout is fixed regardless of evaluation
     # order.

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import InputError
 from .expressions import Expression, evaluate_components, parse_expression
 from .maps import ContractionParams, CoupledMap
-from .spaces import METRICS, Pair, SpaceDescriptor, as_point
+from .spaces import METRICS, Pair, SpaceDescriptor, _positive_int, as_point
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,8 +150,7 @@ def _share_rows(d: np.ndarray):
 
 
 def integral_demo(n_nodes: int = 16) -> ProblemSpec:
-    if n_nodes < 1:
-        raise InputError(f"integral_demo needs n_nodes >= 1, got {n_nodes}")
+    _positive_int(n_nodes, "integral_demo needs n_nodes >= 1, got {!r}")
     nodes = np.arange(n_nodes) / n_nodes
     # exp(-|t_i - t_j|), built in one N x N buffer.
     kernel = np.subtract.outer(nodes, nodes)
@@ -255,9 +254,7 @@ def _parse_seed(doc, dim: int) -> Pair:
 
 
 def _parse_dim(dim) -> int:
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise InputError(f"dim must be a positive integer, got {dim!r}")
-    return dim
+    return _positive_int(dim, "dim must be a positive integer, got {!r}")
 
 
 def _parse_box(doc, dim: int) -> tuple[np.ndarray, np.ndarray]:

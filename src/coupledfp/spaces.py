@@ -39,6 +39,14 @@ def as_point(coords, dim: int | None = None) -> np.ndarray:
     return arr
 
 
+def _positive_int(value, message: str) -> int:
+    """``value`` if it is an int >= 1 and not a bool, else InputError with
+    ``message.format(value)``: the one rule for dimensions and counts."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise InputError(message.format(value))
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class Pair:
     """An element of the product space: two points of equal dimension."""
@@ -70,8 +78,7 @@ class SpaceDescriptor:
     metric: str = "euclidean"
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise InputError(f"dim must be a positive integer, got {self.dim!r}")
+        _positive_int(self.dim, "dim must be a positive integer, got {!r}")
         if self.metric not in METRICS:
             raise InputError(f"unknown metric {self.metric!r}; choose from {METRICS}")
 
@@ -124,14 +131,21 @@ def rows_leq(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return np.all(P <= Q, axis=1)
 
 
-def product_leq(space: SpaceDescriptor, a: Pair, b: Pair) -> bool:
-    """Order on pairs with the second component reversed.
+def rows_product_leq(U: np.ndarray, V: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Pair order of each row pair (U[k], V[k]) against (X[k], Y[k]).
 
-    (u, v) <= (x, y) holds iff u <= x and y <= v, so a pair grows when its
-    first component rises and its second component falls.
+    The order on pairs reverses the second component: (u, v) <= (x, y)
+    holds iff u <= x and y <= v, so a pair grows when its first component
+    rises and its second component falls. Either side may be one pair of
+    1-D points, compared against every row of the other.
     """
+    return rows_leq(U, X) & rows_leq(Y, V)
+
+
+def product_leq(space: SpaceDescriptor, a: Pair, b: Pair) -> bool:
+    """Pair order a <= b: the one-row call of `rows_product_leq`."""
     _check_dims(space, a.first, b.first)
-    return leq(space, a.first, b.first) and leq(space, b.second, a.second)
+    return bool(rows_product_leq(a.first[None], a.second[None], b.first, b.second)[0])
 
 
 def comparable(space: SpaceDescriptor, a: Pair, b: Pair) -> bool:

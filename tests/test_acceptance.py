@@ -21,6 +21,7 @@ from coupledfp import (
     check_seed_condition,
     comparable,
     dass_gupta_margin,
+    directed_pairs,
     distance,
     estimate_params,
     evaluate_samples,
@@ -112,19 +113,18 @@ def test_criterion_04_certificates():
         assert clean.worst_margin >= 0.0
 
         adversarial = (Pair([0.1], [-0.29]), Pair([0.01], [-0.02]))
-        bad = certify_region(
-            prob.space,
-            prob.map,
-            ContractionParams(0.1, 0.4),
-            count=10_000,
-            rng_seed=7,
-            adversarial_pairs=[adversarial],
+        pinned = explicit_pairs(prob.space, prob.map, [adversarial])
+        # certify_region's families joined with the hand-made pair
+        samples = (
+            sample_comparable_pairs(prob.space, prob.map, 10_000, 7)
+            + directed_pairs(prob.space, prob.map)
+            + pinned
         )
+        bad = evaluate_samples(ContractionParams(0.1, 0.4), samples)
         assert bad.violations >= 1
         assert bad.worst_margin <= -0.015
         # the registered pair is itself a hand-computable violation:
         # image distance 0.09 vs right side ~0.0722
-        pinned = explicit_pairs(prob.space, prob.map, [adversarial])
         assert evaluate_samples(ContractionParams(0.1, 0.4), pinned).worst_margin <= -0.015
 
 

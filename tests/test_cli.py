@@ -180,7 +180,7 @@ class TestCertify:
 
     @pytest.mark.parametrize("samples", ["0", "-2"])
     def test_no_samples_exit_one(self, capsys, samples):
-        for command in ("certify", "estimate", "check-monotone"):
+        for command in ("certify", "estimate", "check-monotone", "probe-uniqueness"):
             code, out, err = run_cli(
                 capsys, command, "--problem", "linear_demo", "--samples", samples
             )

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from coupledfp import iteration
 from coupledfp import (
@@ -35,7 +37,7 @@ from coupledfp import (
     uniqueness_probe,
     verify_coupled_fixed_point,
 )
-from coupledfp.iteration import DIVERGENCE_PADDING, TraceEntry
+from coupledfp.iteration import ChainReport, ChainViolation, DIVERGENCE_PADDING, TraceEntry
 from coupledfp.spaces import row_distances
 
 PARAMS_LINEAR = ContractionParams(0.1, 0.5)
@@ -411,6 +413,63 @@ class TestVerify:
         assert residual == pytest.approx(1.0, abs=1e-15)
 
 
+# all four kinds fail at step 0, and again at step 1
+ALL_KINDS_AT_ONCE = (
+    SpaceDescriptor(dim=1),
+    IterationTrace([
+        TraceEntry(0, np.array([1.0]), np.array([-1.0]), 0.0, 0.0, None),
+        TraceEntry(1, np.array([2.0]), np.array([-2.0]), 0.0, 0.0, None),
+    ]),
+    Pair([-1.0], [1.0]),
+)
+
+
+def chain_reference(space, trace, limit):
+    """`check_monotone_chain` as it was written before it was stacked: a
+    loop of `leq` calls per entry, its violations sorted by step."""
+    if not trace.entries:
+        raise InputError("empty trace")
+    violations = []
+    entries = trace.entries
+    chain = [(e.n, e.x, e.y) for e in entries]
+    chain.append((entries[-1].n + 1, limit.first, limit.second))
+    for (n, x_cur, y_cur), (_, x_nxt, y_nxt) in zip(chain, chain[1:]):
+        if not leq(space, x_cur, x_nxt):
+            violations.append(ChainViolation(n, "x-monotone"))
+        if not leq(space, y_nxt, y_cur):
+            violations.append(ChainViolation(n, "y-monotone"))
+    monotone_ok = not violations
+    limit_violations = []
+    for e in entries:
+        if not leq(space, e.x, limit.first):
+            limit_violations.append(ChainViolation(e.n, "x-limit"))
+        if not leq(space, limit.second, e.y):
+            limit_violations.append(ChainViolation(e.n, "y-limit"))
+    all_violations = sorted(violations + limit_violations, key=lambda v: v.step)
+    return ChainReport(
+        entries_checked=len(entries),
+        monotone_ok=monotone_ok,
+        limit_ok=not limit_violations,
+        first_violation=all_violations[0] if all_violations else None,
+    )
+
+
+@st.composite
+def chains(draw):
+    """A space, a trace and a limit on three coordinate values, so that ties
+    and several violation kinds at one step are common. Steps count up from
+    0 as in `iterate`'s traces, or are drawn, repeats and disorder included."""
+    dim = draw(st.integers(1, 3))
+    length = draw(st.integers(1, 6))
+    point = st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=dim, max_size=dim).map(np.array)
+    steps = draw(
+        st.just(list(range(length)))
+        | st.lists(st.integers(0, 3), min_size=length, max_size=length)
+    )
+    entries = [TraceEntry(n, draw(point), draw(point), 0.0, 0.0, None) for n in steps]
+    return SpaceDescriptor(dim=dim), IterationTrace(entries), Pair(draw(point), draw(point))
+
+
 class TestMonotoneChain:
     def test_linear_chain_passes(self, linear):
         config = IterationConfig(max_iter=60, tol=1e-10, params=PARAMS_LINEAR)
@@ -451,6 +510,11 @@ class TestMonotoneChain:
             for e in trace:
                 assert leq(prob.space, e.x, e.y)
             assert result.components_equal
+
+    @given(chains())
+    @example(ALL_KINDS_AT_ONCE)
+    def test_matches_per_entry_loop(self, chain):
+        assert check_monotone_chain(*chain) == chain_reference(*chain)
 
 
 class TestUniquenessProbe:

@@ -16,6 +16,7 @@ from coupledfp import (
     check_seed_condition,
     contraction_margin,
     dass_gupta_margin,
+    distance,
     get_builtin,
     iterate,
     load_problem,
@@ -81,10 +82,18 @@ class TestEvalMap:
         assert F.evaluate_rows(edges, edges[::-1]).tolist() == [[1.07], [2.29]]
         below = np.nextafter(1.07, 0.0)
         assert not F.contains(np.array([below]))
-        assert F.contains(np.array([below]), padding=1.5)
+        assert F.evaluate_rows(np.array([[below]]), edges[:1], padding=1.5).tolist() == [[below]]
         with pytest.raises(DomainError, match="outside the domain box"):
             F.evaluate_rows(np.array([[below]]), edges[:1])
 
+
+    def test_box_wider_than_the_largest_float(self):
+        # upper - lower overflows to inf; the strict box is still [lower, upper]
+        F = CoupledMap("wide", 1, lambda x, y: 0.5 * x, [-1e308], [1e308])
+        assert F.contains(np.array([0.0]))
+        assert F.evaluate([0.0], [1e308]).tolist() == [0.0]
+        with pytest.raises(DomainError, match="outside the domain box"):
+            F.evaluate([0.0], [1.5e308])
 
     def test_padded_edges_match_evaluate(self):
         F = CoupledMap("edge", 1, lambda x, y: x - 0.5 * y, [1.07], [2.29])
@@ -190,6 +199,32 @@ class TestOneEvaluatorContract:
         assert _outcome(lambda: F.evaluate_rows(X, Y)) == first_bad
 
 
+    @pytest.mark.parametrize(
+        "x,y,bad",
+        [
+            ([np.nan], [3.0], "array([nan])"),
+            ([3.0], [np.nan], "array([nan])"),
+            ([np.inf], [np.nan], "array([inf])"),
+            ([3.0], [np.inf], "array([inf])"),
+            ([3.0], [-3.0], "[3.0]"),
+            ([0.5], [-3.0], "[-3.0]"),
+        ],
+    )
+    def test_first_bad_row_error_precedence(self, linear, x, y, bad):
+        # on the first bad row: x not finite, then y not finite, then x
+        # outside the box, then y outside it
+        F = linear.map
+        if bad.startswith("array"):
+            error = ("InputError", f"point has non-finite coordinates: {bad}")
+        else:
+            error = ("DomainError", f"input {bad} outside the domain box of 'linear_demo'")
+        assert _outcome(lambda: F.evaluate(x, y)) == error
+        X = np.array([[0.5], [-1.0], x, [np.nan], [-3.0]])
+        Y = np.array([[0.25], [1.0], y, [3.0], [np.nan]])
+        assert _outcome(lambda: F.evaluate_rows(X, Y)) == error
+        assert _outcome(lambda: F.evaluate_rows(Y, X)) == _outcome(lambda: F.evaluate(y, x))
+
+
 class TestRationalMinTerm:
     def test_zero_at_fixed_pair(self, linear):
         assert rational_min_term(SPACE1, linear.map, pair(0, 0), pair(0, 0)) == 0.0
@@ -265,6 +300,28 @@ class TestDassGupta:
         want = dass_gupta_margin(SPACE1, fresh, params, [1.0], [-1.0])
         assert want == pytest.approx(0.54375, abs=1e-15)
         assert dass_gupta_margin(SPACE1, reused, params, [1.0], [-1.0]) == want
+
+    @pytest.mark.parametrize("metric", ["euclidean", "max", "l1"])
+    def test_matches_four_distance_formula(self, metric, rng):
+        # the margin from one row_distances call against its definition by
+        # four `distance` calls, bit for bit
+        space = SpaceDescriptor(dim=3, metric=metric)
+        F = CoupledMap(
+            "mixed3", 3, lambda X, Y: 0.3 * X - 0.2 * Y[:, ::-1] + 0.1, [-4.0] * 3, [4.0] * 3
+        )
+        params = ContractionParams(0.1, 0.5)
+        for x_hat, y_hat in rng.uniform(-4.0, 4.0, size=(100, 2, 3)):
+            f_x, f_y = F.evaluate(x_hat, x_hat), F.evaluate(y_hat, y_hat)
+            gap = distance(space, x_hat, y_hat)
+            want = (
+                params.alpha
+                * distance(space, y_hat, f_y)
+                * (1.0 + distance(space, x_hat, f_x))
+                / (1.0 + gap)
+                + params.beta * gap
+            ) - distance(space, f_x, f_y)
+            got = dass_gupta_margin(space, F, params, x_hat, y_hat)
+            assert type(got) is float and got.hex() == want.hex()
 
     def test_linear_value(self, linear):
         params = ContractionParams(0.1, 0.5)

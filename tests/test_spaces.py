@@ -5,15 +5,20 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from coupledfp import (
+    CoupledMap,
     DimensionMismatchError,
     InputError,
+    IterationConfig,
     Pair,
     SpaceDescriptor,
     as_point,
+    build_problem,
     comparable,
     distance,
     find_bridge,
+    get_builtin,
     leq,
+    mixed_monotone_check,
     product_leq,
 )
 from coupledfp.spaces import row_distances
@@ -65,6 +70,47 @@ class TestSpaceDescriptor:
     def test_bad_dim(self):
         with pytest.raises(InputError):
             SpaceDescriptor(dim=0)
+
+
+# Every count that must be a positive int, built from the value, and the
+# message it rejects a bad value with.
+POSITIVE_INT_SITES = {
+    "SpaceDescriptor.dim": (
+        lambda v: SpaceDescriptor(dim=v),
+        "dim must be a positive integer, got {!r}",
+    ),
+    "CoupledMap.dim": (
+        lambda v: CoupledMap("m", v, lambda x, y: x, [0.0], [1.0]),
+        "dim must be a positive integer, got {!r}",
+    ),
+    "IterationConfig.max_iter": (
+        lambda v: IterationConfig(max_iter=v),
+        "max_iter must be a positive integer, got {!r}",
+    ),
+    "config dim": (
+        lambda v: build_problem({"builtin": "integral_demo", "dim": v}),
+        "dim must be a positive integer, got {!r}",
+    ),
+    "integral_demo n_nodes": (
+        lambda v: get_builtin("integral_demo", v),
+        "integral_demo needs n_nodes >= 1, got {!r}",
+    ),
+    "mixed_monotone_check sample_count": (
+        lambda v: mixed_monotone_check(get_builtin("linear_demo").map, v, 0),
+        "sample_count must be >= 1, got {!r}",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", POSITIVE_INT_SITES)
+@pytest.mark.parametrize("value", [True, False, 0, -3, 2.5, "2"])
+def test_one_positive_int_rule(site, value):
+    make, message = POSITIVE_INT_SITES[site]
+    make(1)
+    with pytest.raises(InputError) as exc:
+        make(value)
+    assert type(exc.value) is InputError
+    assert str(exc.value) == message.format(value)
 
 
 class TestDistance:
