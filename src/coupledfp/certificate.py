@@ -24,8 +24,8 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DomainError, InputError
-from .maps import ContractionParams, CoupledMap, _images, margin_terms
-from .spaces import Pair, SpaceDescriptor, _check_dims, rows_product_leq
+from .maps import ContractionParams, CoupledMap, _images, _uniform_in_box, margin_terms
+from .spaces import Pair, SpaceDescriptor, _check_dims, _positive_int, rows_product_leq
 
 # Resolution of the bisection search for the minimal feasible ratio.
 RATIO_TOL = 1e-6
@@ -148,14 +148,13 @@ def sample_comparable_pairs(
     pins that coordinate. Deterministic for a given seed: all randomness is
     drawn in one fixed-layout block up front.
     """
-    if count < 0:
-        raise InputError(f"count must be >= 0, got {count}")
+    _positive_int(count, "count must be >= 0, got {!r}", minimum=0)
     lo, hi = F.lower, F.upper
     rng = np.random.default_rng(rng_seed)
-    width = hi - lo
     shape = (count, F.dim)
-    b_first = rng.uniform(lo, hi, size=shape)
-    b_second = rng.uniform(lo, hi, size=shape)
+    b_first = _uniform_in_box(F, rng, shape)
+    b_second = _uniform_in_box(F, rng, shape)
+    width = hi - lo
     a_first = np.minimum(b_first + rng.uniform(0.0, 1.0, size=shape) * width, hi)
     a_second = np.maximum(b_second - rng.uniform(0.0, 1.0, size=shape) * width, lo)
     return _sample_set(space, F, a_first, a_second, b_first, b_second)

@@ -21,7 +21,7 @@ import numpy as np
 from .certificate import certify_region, estimate_params, sample_comparable_pairs
 from .errors import CoupledFPError, DivergenceError, InputError
 from .iteration import IterationConfig, iterate, uniqueness_probe
-from .maps import ContractionParams, mixed_monotone_check
+from .maps import ContractionParams, _uniform_in_box, mixed_monotone_check
 from .problems import BUILTINS, ProblemSpec, get_builtin, load_problem
 from .spaces import Pair
 
@@ -228,8 +228,7 @@ def _cmd_probe_uniqueness(args) -> int:
     extra = args.samples - 1
     if extra:
         rng = np.random.default_rng(args.rng_seed)
-        lo, hi = problem.map.lower, problem.map.upper
-        draws = rng.uniform(lo, hi, size=(extra, 2, problem.space.dim))
+        draws = _uniform_in_box(problem.map, rng, (extra, 2, problem.space.dim))
         seeds.extend(Pair(row[0], row[1]) for row in draws)
     report = uniqueness_probe(problem.space, problem.map, seeds, config)
     payload = {

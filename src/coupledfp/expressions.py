@@ -13,21 +13,25 @@ comparisons, so every expressible map is continuous. Evaluation fails fast
 with a DomainError on division by zero, out-of-domain ln/sqrt and exp
 overflow instead of letting NaNs propagate.
 
-Every node evaluates two ways, with the same floats:
+Each node's value has one definition, ``_eval(x, y, ops)``, run with one of
+two operation sets on the same floats:
 
 * ``eval`` walks the tree once for one row (two 1-D arrays), on Python
-  floats. Stacks of at most WALK_ROWS rows (one-row calls, one seed's
-  iteration steps) use it: on a 4-D map with a dozen function calls
+  floats: ``math`` functions and the builtin ``abs``, and a failed guard
+  raises DomainError. Stacks of at most WALK_ROWS rows (one-row calls, one
+  seed's iteration steps) use it: on a 4-D map with a dozen function calls
   the tree walk takes about 20-30 us per row, a stacked call about
   110-170 us on up to 8 rows, and about 1 us per row on a stack of 16k
   rows (one core of a 2-core x86-64 VM, numpy 2.4).
-* ``eval_rows`` evaluates two (n, dim) row stacks at once and returns an
-  (n,) column. ``+ - * /``, negation, ``abs`` and ``sqrt`` are numpy ufuncs,
-  which round exactly as the same operations on Python floats. ``exp``,
-  ``ln`` and ``atan`` map ``math.exp``, ``math.log`` and ``math.atan`` over
-  the column. On 10^6 uniform random arguments ``np.exp``, ``np.log`` and
-  ``np.arctan`` differ from them in the last bit on 4.6%, 0.10% and 0.14%
-  (``np.sqrt`` on none), which would change printed margins.
+* ``eval_rows`` runs the same code on the columns of two (n, dim) row
+  stacks and returns an (n,) column; a guard that fails on any row raises
+  _GuardTripped. ``+ - * /``, negation, ``abs`` and ``sqrt`` are numpy
+  ufuncs, which round exactly as the same operations on Python floats.
+  ``exp``, ``ln`` and ``atan`` map ``math.exp``, ``math.log`` and
+  ``math.atan`` over the column. On 10^6 uniform random arguments
+  ``np.exp``, ``np.log`` and ``np.arctan`` differ from them in the last bit
+  on 4.6%, 0.10% and 0.14% (``np.sqrt`` on none), which would change
+  printed margins.
 
 `evaluate_components` picks between them by the number of rows. When a
 domain guard trips anywhere in a stack, it re-runs the stack row by row with
@@ -39,6 +43,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -46,8 +51,17 @@ from .errors import DomainError, ExpressionError
 
 FUNCTIONS = ("exp", "ln", "atan", "sqrt", "abs")
 
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# One alternative per token kind, tried in this order at each offset.
+_TOKEN_RE = re.compile(
+    r"(?P<SPACE>[ \t\r\n]+)"
+    r"|(?P<NUMBER>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<OP>[-+*/])"
+    r"|(?P<LPAREN>\()"
+    r"|(?P<RPAREN>\))"
+    r"|(?P<BAD>.)",
+    re.DOTALL,
+)
 _VARIABLE_RE = re.compile(r"([xy])([0-9]+)\Z")
 
 # precedence levels used when inserting parentheses on serialization
@@ -64,17 +78,58 @@ class _GuardTripped(Exception):
     """A domain guard failed on some row of a stack (see evaluate_components)."""
 
 
-def _map_math(fn, t: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(fn, t.tolist()), float, len(t))
+@dataclass(frozen=True)
+class _Ops:
+    """The operations `Expression._eval` runs with on one kind of number."""
+
+    any: Callable  # a guard's condition -> whether it holds on some row
+    error: type  # raised with the guard's message when it does
+    functions: dict  # FUNCTIONS name -> function
+
+
+def _over_column(fn):
+    """``fn`` mapped over a column; a subtree made only of literals is one float."""
+
+    def column(t):
+        if isinstance(t, float):
+            return fn(t)
+        return np.fromiter(map(fn, t.tolist()), float, len(t))
+
+    return column
+
+
+_WALK = _Ops(
+    bool,
+    DomainError,
+    {"exp": math.exp, "ln": math.log, "atan": math.atan, "sqrt": math.sqrt, "abs": abs},
+)
+_COLUMNS = _Ops(
+    np.any,
+    _GuardTripped,
+    {
+        "exp": _over_column(math.exp),
+        "ln": _over_column(math.log),
+        "atan": _over_column(math.atan),
+        "sqrt": np.sqrt,
+        "abs": np.abs,
+    },
+)
 
 
 class Expression:
-    """Base class for AST nodes; subclasses implement eval, eval_rows and to_text."""
+    """Base class for AST nodes; subclasses implement _eval and to_text.
+
+    ``_eval(x, y, ops)`` is a node's one definition of its value: ``x`` and
+    ``y`` index to a variable's value, a Python float on the tree walk and
+    a column on the column pass, and ``ops`` holds the functions and the
+    guard handling for that kind of number.
+    """
 
     precedence = _PREC_ATOM
 
     def eval(self, x: np.ndarray, y: np.ndarray) -> float:
-        raise NotImplementedError
+        """The value on one row, two 1-D arrays; DomainError when a guard fails."""
+        return self._eval(x.tolist(), y.tolist(), _WALK)
 
     def eval_rows(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """The (n,) column of values on each row of two (n, dim) stacks.
@@ -82,6 +137,10 @@ class Expression:
         Equal bit for bit to ``eval`` row by row; raises _GuardTripped
         instead of DomainError when a guard fails on any row.
         """
+        column = self._eval(X.T, Y.T, _COLUMNS)
+        return np.full(len(X), column) if isinstance(column, float) else column
+
+    def _eval(self, x, y, ops: _Ops):
         raise NotImplementedError
 
     def to_text(self) -> str:
@@ -96,11 +155,8 @@ class Expression:
 class Literal(Expression):
     value: float
 
-    def eval(self, x, y):
+    def _eval(self, x, y, ops):
         return self.value
-
-    def eval_rows(self, X, Y):
-        return np.full(len(X), self.value)
 
     def to_text(self):
         return repr(self.value)
@@ -111,12 +167,8 @@ class Variable(Expression):
     axis: str  # "x" or "y"
     index: int  # 1-based
 
-    def eval(self, x, y):
-        vec = x if self.axis == "x" else y
-        return float(vec[self.index - 1])
-
-    def eval_rows(self, X, Y):
-        return (X if self.axis == "x" else Y)[:, self.index - 1]
+    def _eval(self, x, y, ops):
+        return (x if self.axis == "x" else y)[self.index - 1]
 
     def to_text(self):
         return f"{self.axis}{self.index}"
@@ -127,11 +179,8 @@ class Negate(Expression):
     operand: Expression
     precedence = _PREC_NEG
 
-    def eval(self, x, y):
-        return -self.operand.eval(x, y)
-
-    def eval_rows(self, X, Y):
-        return -self.operand.eval_rows(X, Y)
+    def _eval(self, x, y, ops):
+        return -self.operand._eval(x, y, ops)
 
     def to_text(self):
         inner = self.operand.to_text()
@@ -150,30 +199,17 @@ class BinaryOp(Expression):
     def precedence(self):
         return _PREC_ADD if self.op in "+-" else _PREC_MUL
 
-    def eval(self, x, y):
-        lhs = self.left.eval(x, y)
-        rhs = self.right.eval(x, y)
+    def _eval(self, x, y, ops):
+        lhs = self.left._eval(x, y, ops)
+        rhs = self.right._eval(x, y, ops)
         if self.op == "+":
             return lhs + rhs
         if self.op == "-":
             return lhs - rhs
         if self.op == "*":
             return lhs * rhs
-        if rhs == 0.0:
-            raise DomainError(f"division by zero in {self.to_text()!r}")
-        return lhs / rhs
-
-    def eval_rows(self, X, Y):
-        lhs = self.left.eval_rows(X, Y)
-        rhs = self.right.eval_rows(X, Y)
-        if self.op == "+":
-            return lhs + rhs
-        if self.op == "-":
-            return lhs - rhs
-        if self.op == "*":
-            return lhs * rhs
-        if np.any(rhs == 0.0):
-            raise _GuardTripped
+        if ops.any(rhs == 0.0):
+            raise ops.error(f"division by zero in {self.to_text()!r}")
         return lhs / rhs
 
     def to_text(self):
@@ -192,43 +228,16 @@ class FunctionCall(Expression):
     name: str
     arg: Expression
 
-    def eval(self, x, y):
-        t = self.arg.eval(x, y)
-        if self.name == "exp":
-            try:
-                return math.exp(t)
-            except OverflowError as exc:
-                raise DomainError(f"exp overflow at argument {t}") from exc
-        if self.name == "ln":
-            if t <= 0.0:
-                raise DomainError(f"ln of non-positive value {t}")
-            return math.log(t)
-        if self.name == "atan":
-            return math.atan(t)
-        if self.name == "sqrt":
-            if t < 0.0:
-                raise DomainError(f"sqrt of negative value {t}")
-            return math.sqrt(t)
-        return abs(t)
-
-    def eval_rows(self, X, Y):
-        t = self.arg.eval_rows(X, Y)
-        if self.name == "exp":
-            try:
-                return _map_math(math.exp, t)
-            except OverflowError:
-                raise _GuardTripped from None
-        if self.name == "ln":
-            if np.any(t <= 0.0):
-                raise _GuardTripped
-            return _map_math(math.log, t)
-        if self.name == "atan":
-            return _map_math(math.atan, t)
-        if self.name == "sqrt":
-            if np.any(t < 0.0):
-                raise _GuardTripped
-            return np.sqrt(t)
-        return np.abs(t)
+    def _eval(self, x, y, ops):
+        t = self.arg._eval(x, y, ops)
+        if self.name == "ln" and ops.any(t <= 0.0):
+            raise ops.error(f"ln of non-positive value {t}")
+        if self.name == "sqrt" and ops.any(t < 0.0):
+            raise ops.error(f"sqrt of negative value {t}")
+        try:
+            return ops.functions[self.name](t)
+        except OverflowError as exc:  # only exp overflows
+            raise ops.error(f"exp overflow at argument {t}") from exc
 
     def to_text(self):
         return f"{self.name}({self.arg.to_text()})"
@@ -243,37 +252,12 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            tokens.append(_Token("NUMBER", m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(_Token("IDENT", m.group(), i))
-            i = m.end()
-            continue
-        if ch in "+-*/":
-            tokens.append(_Token("OP", ch, i))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(_Token("LPAREN", ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(_Token("RPAREN", ch, i))
-            i += 1
-            continue
-        raise ExpressionError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("EOF", "", n))
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "BAD":
+            raise ExpressionError(f"unexpected character {m.group()!r}", m.start())
+        if m.lastgroup != "SPACE":
+            tokens.append(_Token(m.lastgroup, m.group(), m.start()))
+    tokens.append(_Token("EOF", "", len(text)))
     return tokens
 
 

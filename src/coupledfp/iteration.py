@@ -323,14 +323,20 @@ def iterate(
     return result, trace
 
 
+def _check_mean_gap(initial_mean_gap: float) -> None:
+    if not math.isfinite(initial_mean_gap):
+        raise InputError(f"initial_mean_gap must be finite, got {initial_mean_gap}")
+    if initial_mean_gap < 0:
+        raise InputError("initial_mean_gap must be >= 0")
+
+
 def apriori_gap_bound(params: ContractionParams, initial_mean_gap: float, step: int) -> float:
     """Geometric bound ratio**step * D0 on the gap at the given step.
 
     D0 is the mean of the two first-step gaps; the claim covers steps >= 1
     (at step 0 an individual gap can exceed the mean of the two).
     """
-    if initial_mean_gap < 0:
-        raise InputError("initial_mean_gap must be >= 0")
+    _check_mean_gap(initial_mean_gap)
     if step < 0:
         raise InputError("step must be >= 0")
     return params.ratio**step * initial_mean_gap
@@ -346,8 +352,7 @@ def apriori_iteration_count(
     """
     if not (eps > 0):
         raise InputError(f"eps must be > 0, got {eps}")
-    if initial_mean_gap < 0:
-        raise InputError("initial_mean_gap must be >= 0")
+    _check_mean_gap(initial_mean_gap)
     r = params.ratio
     tail0 = initial_mean_gap / (1.0 - r)
     if tail0 <= eps:

@@ -331,6 +331,22 @@ class MonotoneReport:
         return self.violations > 0
 
 
+def _uniform_in_box(F: CoupledMap, rng: np.random.Generator, size) -> np.ndarray:
+    """``rng.uniform`` over the map's domain box, the one draw of every sampler.
+
+    InputError when a side of the box is wider than the largest float, where
+    the draw itself would overflow.
+    """
+    with np.errstate(over="ignore"):
+        wide = not np.isfinite(F.upper - F.lower).all()
+    if wide:
+        raise InputError(
+            f"domain box of map {F.name!r} is wider than the largest float; "
+            "sampling needs a finite width"
+        )
+    return rng.uniform(F.lower, F.upper, size=size)
+
+
 def mixed_monotone_check(F: CoupledMap, sample_count: int, rng_seed: int) -> MonotoneReport:
     """Sample the mixed-monotone property on the map's domain box.
 
@@ -343,7 +359,7 @@ def mixed_monotone_check(F: CoupledMap, sample_count: int, rng_seed: int) -> Mon
     rng = np.random.default_rng(rng_seed)
     # One block draw so the stream layout is fixed regardless of evaluation
     # order.
-    draws = rng.uniform(F.lower, F.upper, size=(sample_count, 6, F.dim))
+    draws = _uniform_in_box(F, rng, (sample_count, 6, F.dim))
     excess_first = np.empty(sample_count)
     excess_second = np.empty(sample_count)
     for lo, hi in _sample_blocks(sample_count, F.dim, 4):

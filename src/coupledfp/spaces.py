@@ -39,10 +39,11 @@ def as_point(coords, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def _positive_int(value, message: str) -> int:
-    """``value`` if it is an int >= 1 and not a bool, else InputError with
-    ``message.format(value)``: the one rule for dimensions and counts."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+def _positive_int(value, message: str, minimum: int = 1) -> int:
+    """``value`` if it is an int >= ``minimum`` and not a bool, else
+    InputError with ``message.format(value)``: the one rule for dimensions
+    and counts."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise InputError(message.format(value))
     return value
 

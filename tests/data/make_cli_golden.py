@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Write cli_golden.json: argv -> exit code and stdout of `coupledfp.cli.main`.
 
-    PYTHONPATH=src python tests/data/make_cli_golden.py
-    PYTHONPATH=src python tests/data/make_cli_golden.py --check
+    python tests/data/make_cli_golden.py
+    python tests/data/make_cli_golden.py --check
 
 Run it without --check only against a commit whose output the file pins,
 never to refresh the file after a change to the program:
@@ -32,6 +32,8 @@ import warnings
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 OUT = os.path.join(HERE, "cli_golden.json")
+# this checkout's sources, which the script imports without an install
+SRC = os.path.join(os.path.dirname(os.path.dirname(HERE)), "src")
 
 PROBLEMS = [
     ["--problem", "linear_demo"],
@@ -121,6 +123,7 @@ def check(main, entries: list[dict]) -> int:
 
 
 def main() -> None:
+    sys.path.insert(0, SRC)
     from coupledfp.cli import main as cli_main
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])

@@ -377,6 +377,40 @@ class TestUsageErrors:
         assert exc.value.code == 1
 
 
+class TestBoxWiderThanTheLargestFloat:
+    # upper - lower overflows: the map accepts the box, the samplers refuse it
+    CONFIG = {
+        "dim": 1,
+        "components_F": ["x1/2"],
+        "domain_box": [-1e308, 1e308],
+        "seed": {"x0": [0], "y0": [1]},
+    }
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["certify", "--alpha", "0.1", "--beta", "0.4"],
+            ["estimate"],
+            ["check-monotone"],
+            ["probe-uniqueness"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_sampling_subcommands_exit_one(self, capsys, tmp_path, command):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(self.CONFIG))
+        code, out, err = run_cli(capsys, *command, "--config", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "wider than the largest float" in err
+        assert err.count("\n") == 1
+
+    def test_solve_still_runs(self, capsys, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(self.CONFIG))
+        code, _, err = run_cli(capsys, "solve", "--config", str(path))
+        assert code == 0, err
+
+
 class TestModuleEntryPoints:
     ARGV = ["certify", "--problem", "linear_demo", "--samples", "10",
             "--alpha", "0.01", "--beta", "0.02"]
@@ -421,6 +455,15 @@ class TestGoldenCheck:
         entries = [self.entry(["list-builtins"]), self.entry(["solve", "--problem", "nope"])]
         assert make_cli_golden.check(main, entries) == 0
         assert "2 invocations byte-identical" in capsys.readouterr().out
+
+    def test_runs_from_a_bare_checkout(self, tmp_path):
+        # the script finds src/ itself; --help gets past its import
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run(
+            [sys.executable, os.path.join(DATA, "make_cli_golden.py"), "--help"],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_first_difference_printed_as_diff(self, capsys):
         argv = ["solve", "--problem", "linear_demo"]

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import string
 
 import numpy as np
 import pytest
@@ -27,6 +29,9 @@ from coupledfp.expressions import (
     Negate,
     Variable,
     WALK_ROWS,
+    _GuardTripped,
+    _Token,
+    _tokenize,
     evaluate_components,
 )
 from coupledfp.maps import BLOCK_FLOATS
@@ -338,3 +343,175 @@ class TestWorkCounts:
             assert counts["eval"] > 0 and counts["eval_rows"] == 0
         else:
             assert counts["eval"] == 0 and counts["eval_rows"] > 0
+
+
+# --- references ---------------------------------------------------------------
+# Node evaluation and the tokenizer as they were written before every node
+# had one `_eval`: a tree walk and a column pass per node class, and one
+# branch per token kind. The current code must agree with them bit for bit.
+
+
+def reference_eval(node, x, y):
+    if isinstance(node, Literal):
+        return node.value
+    if isinstance(node, Variable):
+        vec = x if node.axis == "x" else y
+        return float(vec[node.index - 1])
+    if isinstance(node, Negate):
+        return -reference_eval(node.operand, x, y)
+    if isinstance(node, BinaryOp):
+        lhs = reference_eval(node.left, x, y)
+        rhs = reference_eval(node.right, x, y)
+        if node.op == "+":
+            return lhs + rhs
+        if node.op == "-":
+            return lhs - rhs
+        if node.op == "*":
+            return lhs * rhs
+        if rhs == 0.0:
+            raise DomainError(f"division by zero in {node.to_text()!r}")
+        return lhs / rhs
+    t = reference_eval(node.arg, x, y)
+    if node.name == "exp":
+        try:
+            return math.exp(t)
+        except OverflowError as exc:
+            raise DomainError(f"exp overflow at argument {t}") from exc
+    if node.name == "ln":
+        if t <= 0.0:
+            raise DomainError(f"ln of non-positive value {t}")
+        return math.log(t)
+    if node.name == "atan":
+        return math.atan(t)
+    if node.name == "sqrt":
+        if t < 0.0:
+            raise DomainError(f"sqrt of negative value {t}")
+        return math.sqrt(t)
+    return abs(t)
+
+
+def _map_math(fn, t):
+    return np.fromiter(map(fn, t.tolist()), float, len(t))
+
+
+def reference_eval_rows(node, X, Y):
+    if isinstance(node, Literal):
+        return np.full(len(X), node.value)
+    if isinstance(node, Variable):
+        return (X if node.axis == "x" else Y)[:, node.index - 1]
+    if isinstance(node, Negate):
+        return -reference_eval_rows(node.operand, X, Y)
+    if isinstance(node, BinaryOp):
+        lhs = reference_eval_rows(node.left, X, Y)
+        rhs = reference_eval_rows(node.right, X, Y)
+        if node.op == "+":
+            return lhs + rhs
+        if node.op == "-":
+            return lhs - rhs
+        if node.op == "*":
+            return lhs * rhs
+        if np.any(rhs == 0.0):
+            raise _GuardTripped
+        return lhs / rhs
+    t = reference_eval_rows(node.arg, X, Y)
+    if node.name == "exp":
+        try:
+            return _map_math(math.exp, t)
+        except OverflowError:
+            raise _GuardTripped from None
+    if node.name == "ln":
+        if np.any(t <= 0.0):
+            raise _GuardTripped
+        return _map_math(math.log, t)
+    if node.name == "atan":
+        return _map_math(math.atan, t)
+    if node.name == "sqrt":
+        if np.any(t < 0.0):
+            raise _GuardTripped
+        return np.sqrt(t)
+    return np.abs(t)
+
+
+_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def reference_tokenize(text):
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            i += 1
+            continue
+        m = _NUMBER_RE.match(text, i)
+        if m:
+            tokens.append(_Token("NUMBER", m.group(), i))
+            i = m.end()
+            continue
+        m = _IDENT_RE.match(text, i)
+        if m:
+            tokens.append(_Token("IDENT", m.group(), i))
+            i = m.end()
+            continue
+        if ch in "+-*/":
+            tokens.append(_Token("OP", ch, i))
+            i += 1
+            continue
+        if ch == "(":
+            tokens.append(_Token("LPAREN", ch, i))
+            i += 1
+            continue
+        if ch == ")":
+            tokens.append(_Token("RPAREN", ch, i))
+            i += 1
+            continue
+        raise ExpressionError(f"unexpected character {ch!r}", i)
+    tokens.append(_Token("EOF", "", n))
+    return tokens
+
+
+def outcome(evaluate, *args):
+    """The value's bytes, DomainError's message, or _GuardTripped."""
+    try:
+        with np.errstate(all="ignore"):
+            return np.asarray(evaluate(*args), dtype=float).tobytes()
+    except DomainError as exc:
+        return str(exc)
+    except _GuardTripped:
+        return _GuardTripped
+
+
+# signed zeros, huge values and each guard's edge: division and ln at zero,
+# sqrt just below it, exp on either side of its overflow
+EDGES = [0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, 709.782712893384, 709.7827128933841]
+ROW_VALUES = st.one_of(st.sampled_from(EDGES), st.floats(-10.0, 10.0))
+
+
+class TestReferences:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        expressions(ops="+-*/", functions=FUNCTIONS),
+        st.lists(st.lists(ROW_VALUES, min_size=4, max_size=4), min_size=1, max_size=8),
+    )
+    def test_eval_and_eval_rows_match_the_references(self, expr, rows):
+        X, Y = np.array(rows)[:, :2], np.array(rows)[:, 2:]
+        for x, y in zip(X, Y):
+            assert outcome(expr.eval, x, y) == outcome(reference_eval, expr, x, y)
+        assert outcome(expr.eval_rows, X, Y) == outcome(reference_eval_rows, expr, X, Y)
+
+    ALPHABET = (
+        string.digits + ".e" + string.ascii_letters + "_" + "+-*/()" + " \t\n\v^" + "\u0663"
+    )
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.text(alphabet=ALPHABET, max_size=30))
+    def test_tokenize_matches_the_reference(self, text):
+        def tokens(tokenize):
+            try:
+                return tokenize(text)
+            except ExpressionError as exc:
+                return str(exc), exc.position
+
+        assert tokens(_tokenize) == tokens(reference_tokenize)

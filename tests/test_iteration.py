@@ -328,6 +328,20 @@ class TestPerStepContraction:
 
 
 class TestAprioriBounds:
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            lambda gap: apriori_gap_bound(PARAMS_LINEAR, gap, 3),
+            lambda gap: apriori_iteration_count(PARAMS_LINEAR, gap, 1e-6),
+        ],
+        ids=["gap_bound", "iteration_count"],
+    )
+    @pytest.mark.parametrize("gap", [math.nan, math.inf, -math.inf, -0.5])
+    def test_initial_mean_gap_must_be_finite_and_nonnegative(self, bound, gap):
+        message = "must be >= 0" if math.isfinite(gap) else f"must be finite, got {gap}"
+        with pytest.raises(InputError, match=message):
+            bound(gap)
+
     def test_bound_examples(self):
         assert apriori_gap_bound(PARAMS_LINEAR, 0.5, 0) == 0.5
         assert apriori_gap_bound(PARAMS_LINEAR, 0.5, 1) == pytest.approx(

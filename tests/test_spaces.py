@@ -20,6 +20,7 @@ from coupledfp import (
     leq,
     mixed_monotone_check,
     product_leq,
+    sample_comparable_pairs,
 )
 from coupledfp.spaces import row_distances
 
@@ -111,6 +112,17 @@ def test_one_positive_int_rule(site, value):
         make(value)
     assert type(exc.value) is InputError
     assert str(exc.value) == message.format(value)
+
+
+@pytest.mark.parametrize("value", [True, False, -2, 2.5, "2"])
+def test_one_count_rule_with_zero(value):
+    # the sample count follows the positive-int rule with a minimum of 0
+    linear = get_builtin("linear_demo")
+    assert len(sample_comparable_pairs(linear.space, linear.map, 0, 0)) == 0
+    with pytest.raises(InputError) as exc:
+        sample_comparable_pairs(linear.space, linear.map, value, 0)
+    assert type(exc.value) is InputError
+    assert str(exc.value) == "count must be >= 0, got {!r}".format(value)
 
 
 class TestDistance:
