@@ -18,6 +18,7 @@ always mixes the directed family into the uniform draw.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -34,14 +35,15 @@ RATIO_TOL = 1e-6
 ALPHA_INSET = 1e-9
 # Length of the iteration walk in the directed sample family.
 WALK_STEPS = 8
-# `estimate_params` tests the 2^k - 1 midpoints of the next k bisection
-# levels in one `_alpha_interval` pass over n samples, with k the largest,
-# up to MAX_PASS_LEVELS, for which (2^k - 1) * n <= PASS_FLOATS. A pass of up
-# to about 2^11 elements costs at most about 1.5 times its fixed numpy
-# overhead of about 20 us (2-core VM, Python 3.11, numpy 2.4); deeper trees
-# on few samples cost more Python than the passes they save.
-PASS_FLOATS = 2**11
-MAX_PASS_LEVELS = 5
+# An `_alpha_interval` pass over n samples tests up to max(1, PASS_FLOATS // n)
+# midpoints of the predicted bisection path. A pass of up to about 2^13
+# elements costs little more than its fixed numpy overhead of about 20 us
+# (2-core VM, Python 3.11, numpy 2.4), so 300 samples fit the whole path of
+# 20 midpoints in one pass. From n > PASS_FLOATS / 2 a pass holds only the
+# bisection's own next midpoint, and the search skips the prediction.
+PASS_FLOATS = 2**13
+# Cap on the crossing steps of `_predicted_ratio`, which is only a guess.
+ENVELOPE_STEPS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,27 +337,83 @@ def _alpha_interval(ratios: np.ndarray, samples: SampleSet) -> tuple[np.ndarray,
     return lo, hi
 
 
-def _levels_per_pass(n: int) -> int:
-    """Bisection levels decided per feasibility pass over n samples."""
-    k = 1
-    while k < MAX_PASS_LEVELS and (2 ** (k + 1) - 1) * n <= PASS_FLOATS:
-        k += 1
-    return k
+def _predicted_ratio(samples: SampleSet) -> float:
+    """The samples' minimal ratio from its linear program, as a guess only.
+
+    With t = 1 / (1 - alpha) (the Charnes-Cooper substitution) and
+    h = distance_sum / 2, a sample with h > 0 holds at ratio r exactly when
+    r >= a * t + b, for a = (image_distance - rational_term) / h and
+    b = rational_term / h; a sample with h = 0 holds when
+    alpha * rational_term >= image_distance, a lower bound t_min on t. The
+    minimal ratio is the lowest point of the upper envelope of the lines
+    over [t_min, 1 / ALPHA_INSET], a convex piecewise-linear function: each
+    step moves to where the lines on top at the two ends of a bracket cross.
+    The envelope at t = 1 is max(2 * image_distance / distance_sum).
+
+    Rounding can put the guess on the other side of a midpoint than
+    `_alpha_interval` puts it, so nothing is decided from it. Lines that are
+    not finite are left out (an infinite rational term or a NaN distance
+    sum, for two, constrains nothing). A sample with h = 0 that no alpha
+    satisfies gives the neutral guess 0.5; with no line left every ratio is
+    feasible and the guess is 0.0.
+    """
+    image, term = samples.image_distance, samples.rational_term
+    h = 0.5 * samples.distance_sum
+    with np.errstate(all="ignore"):  # non-finite terms make a guess, not an error
+        alpha_min = 0.0
+        flat = h == 0
+        if flat.any():
+            pushed = flat & (image > 0)
+            alpha_min = (image[pushed] / term[pushed]).max(initial=0.0)
+            if not alpha_min <= 1.0 - ALPHA_INSET:
+                return 0.5
+        a = (image - term) / h
+        b = term / h
+        finite = np.isfinite(a) & np.isfinite(b)  # h = 0 gives no line
+        if not finite.all():
+            a, b = a[finite], b[finite]
+        if not len(a):
+            return 0.0
+
+        def top(t: float) -> tuple[float, int]:
+            k = int(np.argmax(a * t + b))
+            return float(a[k] * t + b[k]), k
+
+        r, k_lo = top(1.0 / (1.0 - alpha_min))
+        if a[k_lo] >= 0:
+            return r
+        r, k_hi = top(1.0 / ALPHA_INSET)
+        for _ in range(ENVELOPE_STEPS):
+            if a[k_hi] <= 0:
+                break
+            r, k = top((b[k_hi] - b[k_lo]) / (a[k_lo] - a[k_hi]))
+            if k in (k_lo, k_hi) or a[k] == 0:
+                break
+            if a[k] > 0:
+                k_hi = k
+            else:
+                k_lo = k
+    return r
 
 
-def _midpoints(r_lo: float, r_hi: float, levels: int) -> list[float]:
-    """Every midpoint the bisection can test in its next ``levels`` steps from (r_lo, r_hi)."""
-    mids = []
-    brackets = [(r_lo, r_hi)]
-    for _ in range(levels):
-        deeper = []
-        for a, b in brackets:
-            if b - a > RATIO_TOL:
-                mid = 0.5 * (a + b)
-                mids.append(mid)
-                deeper += [(a, mid), (mid, b)]
-        brackets = deeper
-    return mids
+def _bisection_path(r_lo: float, r_hi: float, guess: float, count: int) -> list[float]:
+    """The ratios one pass tests: the next ``count`` midpoints of a bisection
+    from (r_lo, r_hi) in which exactly the ratios >= ``guess`` are feasible,
+    then the RATIO_TOL floor when that bisection ends below it. A guess of
+    +inf predicts every midpoint infeasible, so it never adds the floor."""
+    path = []
+    while r_hi - r_lo > RATIO_TOL:
+        if len(path) == count:
+            return path
+        mid = 0.5 * (r_lo + r_hi)
+        path.append(mid)
+        if mid >= guess:
+            r_hi = mid
+        else:
+            r_lo = mid
+    if r_hi < RATIO_TOL:
+        path.append(RATIO_TOL)
+    return path
 
 
 def estimate_params(samples: SampleSet) -> ParamEstimate:
@@ -367,17 +425,23 @@ def estimate_params(samples: SampleSet) -> ParamEstimate:
     When even arbitrarily small ratios are feasible the bisection floor is
     reported; when no ratio below 1 works the estimate is infeasible.
 
-    Each `_alpha_interval` pass tests every midpoint of the next few
-    bisection levels (`_levels_per_pass`), and the one-at-a-time decisions
-    are replayed from that table of intervals; the first pass also tests the
-    top ratio, and only a ratio clamped to the floor needs a pass of its
-    own. Every midpoint is built from the same bracket as in a
+    The minimal ratio of the linear program (`_predicted_ratio`) only guides
+    the search: it predicts which midpoints the bisection visits, and one
+    `_alpha_interval` pass tests that path (up to max(1, PASS_FLOATS // n)
+    midpoints), with the top ratio in the first pass and the floor when the
+    path ends below it. The one-at-a-time decisions are replayed from that
+    table of intervals; a midpoint the table lacks starts a new pass,
+    predicted from the current bracket, so every pass decides at least one
+    level. Every midpoint is built from the same bracket as in a
     one-at-a-time bisection, so the search takes the same path and returns
-    the same floats.
+    the same floats whatever the guess; a wrong guess costs passes only.
     """
     if not len(samples):
         raise InputError("estimate_params needs at least one sample")
-    levels = _levels_per_pass(len(samples))
+    per_pass = max(1, PASS_FLOATS // len(samples))
+    # A one-midpoint pass holds the bisection's own next midpoint whatever
+    # the guess, so large sets skip the prediction.
+    guess = _predicted_ratio(samples) if per_pass > 1 else math.inf
 
     def run_pass(ratios: list[float]) -> None:
         lo, hi = _alpha_interval(np.array(ratios), samples)
@@ -389,13 +453,13 @@ def estimate_params(samples: SampleSet) -> ParamEstimate:
 
     intervals: dict[float, tuple[float, float]] = {}
     r_lo, r_hi = 0.0, 1.0 - RATIO_TOL
-    run_pass([r_hi, *_midpoints(r_lo, r_hi, levels)])
+    run_pass([r_hi, *_bisection_path(r_lo, r_hi, guess, per_pass)])
     if not feasible(r_hi):
         return ParamEstimate(False, None, None, None, len(samples))
     while r_hi - r_lo > RATIO_TOL:
         mid = 0.5 * (r_lo + r_hi)
         if mid not in intervals:
-            run_pass(_midpoints(r_lo, r_hi, levels))
+            run_pass(_bisection_path(r_lo, r_hi, guess, per_pass))
         if feasible(mid):
             r_hi = mid
         else:

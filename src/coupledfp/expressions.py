@@ -73,6 +73,13 @@ _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_ATOM = 1, 2, 3, 4
 # and a one-seed iteration step is a 2-row stack.
 WALK_ROWS = 4
 
+# Deepest expression `parse_expression` accepts, in levels: a number or a
+# variable is one level, and an operator, minus sign, call or pair of
+# parentheses one more than its deepest operand. Parsing recurses about four
+# frames per level, evaluation and printing about one, so an accepted tree
+# stays well inside Python's default limit of 1000 frames.
+MAX_DEPTH = 200
+
 
 class _GuardTripped(Exception):
     """A domain guard failed on some row of a stack (see evaluate_components)."""
@@ -262,10 +269,16 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
+    """Recursive descent over the grammar; each method returns a node and its
+    depth in MAX_DEPTH's levels, and rejects a node deeper than the limit as
+    it is built. A group (parentheses, a call or a minus sign) is refused
+    on entry once MAX_DEPTH groups are open, before the descent recurses."""
+
     def __init__(self, text: str, dim: int):
         self.tokens = _tokenize(text)
         self.dim = dim
         self.k = 0
+        self.open_groups = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.k]
@@ -276,61 +289,85 @@ class _Parser:
         return tok
 
     def parse(self) -> Expression:
-        node = self.expr()
+        node, _ = self.expr()
         tail = self.peek()
         if tail.kind != "EOF":
             raise ExpressionError(f"unexpected token {tail.text!r}", tail.pos)
         return node
 
-    def expr(self) -> Expression:
-        node = self.term()
+    @staticmethod
+    def check(depth: int, tok: _Token) -> None:
+        if depth > MAX_DEPTH:
+            raise ExpressionError(f"expression nests deeper than {MAX_DEPTH} levels", tok.pos)
+
+    def built(self, node: Expression, depth: int, tok: _Token) -> tuple[Expression, int]:
+        self.check(depth, tok)
+        return node, depth
+
+    def enter(self, tok: _Token) -> None:
+        """Open one more group at ``tok``; the caller closes it."""
+        self.open_groups += 1
+        self.check(self.open_groups + 1, tok)  # its contents are a level more
+
+    def expr(self) -> tuple[Expression, int]:
+        node, depth = self.term()
         while self.peek().kind == "OP" and self.peek().text in "+-":
-            op = self.advance().text
-            node = BinaryOp(op, node, self.term())
-        return node
+            tok = self.advance()
+            right, right_depth = self.term()
+            node, depth = self.built(
+                BinaryOp(tok.text, node, right), 1 + max(depth, right_depth), tok
+            )
+        return node, depth
 
-    def term(self) -> Expression:
-        node = self.factor()
+    def term(self) -> tuple[Expression, int]:
+        node, depth = self.factor()
         while self.peek().kind == "OP" and self.peek().text in "*/":
-            op = self.advance().text
-            node = BinaryOp(op, node, self.factor())
-        return node
+            tok = self.advance()
+            right, right_depth = self.factor()
+            node, depth = self.built(
+                BinaryOp(tok.text, node, right), 1 + max(depth, right_depth), tok
+            )
+        return node, depth
 
-    def factor(self) -> Expression:
+    def factor(self) -> tuple[Expression, int]:
         tok = self.peek()
         if tok.kind == "OP" and tok.text == "-":
             self.advance()
-            return Negate(self.factor())
+            self.enter(tok)
+            operand, depth = self.factor()
+            self.open_groups -= 1
+            return self.built(Negate(operand), depth + 1, tok)
         return self.atom()
 
-    def atom(self) -> Expression:
+    def atom(self) -> tuple[Expression, int]:
+        # A call and a parenthesized expression share one path, so each
+        # level of nesting costs the same few frames of recursion.
         tok = self.advance()
         if tok.kind == "NUMBER":
-            return Literal(float(tok.text))
-        if tok.kind == "LPAREN":
-            node = self.expr()
-            closing = self.advance()
-            if closing.kind != "RPAREN":
-                raise ExpressionError("expected ')'", closing.pos)
-            return node
+            return Literal(float(tok.text)), 1
+        if tok.kind == "IDENT" and tok.text not in FUNCTIONS:
+            return self.variable(tok), 1
         if tok.kind == "IDENT":
-            return self.identifier(tok)
-        if tok.kind == "EOF":
-            raise ExpressionError("unexpected end of input", tok.pos)
-        raise ExpressionError(f"unexpected token {tok.text!r}", tok.pos)
-
-    def identifier(self, tok: _Token) -> Expression:
-        if tok.text in FUNCTIONS:
             opener = self.advance()
             if opener.kind != "LPAREN":
                 raise ExpressionError(
                     f"function {tok.text!r} needs a parenthesized argument", opener.pos
                 )
-            arg = self.expr()
-            closing = self.advance()
-            if closing.kind != "RPAREN":
-                raise ExpressionError("expected ')'", closing.pos)
-            return FunctionCall(tok.text, arg)
+        elif tok.kind == "EOF":
+            raise ExpressionError("unexpected end of input", tok.pos)
+        elif tok.kind != "LPAREN":
+            raise ExpressionError(f"unexpected token {tok.text!r}", tok.pos)
+        self.enter(tok)
+        node, depth = self.expr()
+        self.open_groups -= 1
+        closing = self.advance()
+        if closing.kind != "RPAREN":
+            raise ExpressionError("expected ')'", closing.pos)
+        if tok.kind == "IDENT":
+            node = FunctionCall(tok.text, node)
+        return self.built(node, depth + 1, tok)
+
+    def variable(self, tok: _Token) -> Variable:
         m = _VARIABLE_RE.match(tok.text)
         if m:
             index = int(m.group(2))
@@ -344,7 +381,10 @@ class _Parser:
 
 
 def parse_expression(text: str, dim: int) -> Expression:
-    """Parse one scalar-valued expression over x1..xd, y1..yd."""
+    """Parse one scalar-valued expression over x1..xd, y1..yd.
+
+    ExpressionError for text deeper than MAX_DEPTH levels.
+    """
     return _Parser(text, dim).parse()
 
 

@@ -123,7 +123,8 @@ class CoupledMap:
         its width (``lower`` and ``upper`` at padding 1), computed once."""
         bounds = self._padded.get(padding)
         if bounds is None:
-            grow = 0.5 * (padding - 1.0) * (self.upper - self.lower)
+            with np.errstate(over="ignore"):  # a box wider than the largest float
+                grow = 0.5 * (padding - 1.0) * (self.upper - self.lower)
             bounds = self._padded[padding] = (self.lower - grow, self.upper + grow)
         return bounds
 
@@ -334,17 +335,22 @@ class MonotoneReport:
 def _uniform_in_box(F: CoupledMap, rng: np.random.Generator, size) -> np.ndarray:
     """``rng.uniform`` over the map's domain box, the one draw of every sampler.
 
+    Element for element ``rng.uniform(lower, upper, size)``, which computes
+    ``lower + (upper - lower) * rng.random()``, in place on one buffer.
     InputError when a side of the box is wider than the largest float, where
     the draw itself would overflow.
     """
     with np.errstate(over="ignore"):
-        wide = not np.isfinite(F.upper - F.lower).all()
-    if wide:
+        width = F.upper - F.lower
+    if not np.isfinite(width).all():
         raise InputError(
             f"domain box of map {F.name!r} is wider than the largest float; "
             "sampling needs a finite width"
         )
-    return rng.uniform(F.lower, F.upper, size=size)
+    draw = rng.random(size)
+    draw *= width
+    draw += F.lower
+    return draw
 
 
 def mixed_monotone_check(F: CoupledMap, sample_count: int, rng_seed: int) -> MonotoneReport:

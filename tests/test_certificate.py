@@ -300,6 +300,23 @@ def _noop():
     yield
 
 
+@contextmanager
+def counted_passes():
+    """The ratio count of each `_alpha_interval` pass made inside the block."""
+    sizes = []
+    alpha_interval = certificate._alpha_interval
+
+    def counted(ratios, samples):
+        sizes.append(len(ratios))
+        return alpha_interval(ratios, samples)
+
+    certificate._alpha_interval = counted
+    try:
+        yield sizes
+    finally:
+        certificate._alpha_interval = alpha_interval
+
+
 def reference_alpha_interval(r: float, samples: SampleSet) -> tuple[float, float]:
     """The feasible alpha interval at one ratio, one pass per ratio: the
     search's first definition, kept as the oracle for the batched one."""
@@ -361,14 +378,16 @@ def first_midpoints(levels: int = 3) -> list[float]:
     return mids
 
 
-# Sample counts at the edges of each number of bisection levels per pass.
-EDGE_COUNTS = [1, 66, 67, 136, 137, 292, 293, 682, 683, 3000, 5000]
+# Sample counts at the edges of the midpoints one pass holds: the whole path
+# of 20 up to 409 samples, 2 from 2731 and 1 from 4097.
+EDGE_COUNTS = [1, 2, 409, 410, 2730, 2731, 4096, 4097, 5000]
 
 
 @st.composite
 def term_sets(draw):
     """Margin terms of n samples, with rows that make ties, zero slopes at
-    the first midpoints, infeasible sets and sets feasible at every ratio."""
+    the first midpoints, zero distance sums under a positive image distance,
+    non-finite terms, infeasible sets and sets feasible at every ratio."""
     n = draw(st.sampled_from(EDGE_COUNTS) | st.integers(1, 5000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     span = rng.uniform(0.0, 4.0, n)
@@ -378,9 +397,14 @@ def term_sets(draw):
     growth = draw(st.sampled_from([0.0, 1e-9, 0.25, 0.5, 0.9, 2.0]))
     image = growth * span * rng.uniform(0.0, 1.0, n)
     for i in draw(st.lists(st.integers(0, n - 1), max_size=8)):
-        kind = draw(st.sampled_from(["span", "image", "-0", "inf", "slope"]))
+        kind = draw(st.sampled_from(["span", "flat", "image", "-0", "inf", "slope"]))
         if kind == "span":
             span[i] = 0.0
+        elif kind == "flat":
+            # zero distance sum under a positive image distance: a lower
+            # bound on alpha when the term is larger, else no alpha at all
+            span[i], image[i] = 0.0, draw(st.sampled_from([1e-3, 0.5, 1.0]))
+            term[i] = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e6]))
         elif kind == "image":
             image[i] = 0.0
         elif kind == "-0":
@@ -398,6 +422,8 @@ def term_sets(draw):
                         (inf, inf, inf),
                         (1.0, nan, 1.0),
                         (1.0, 1.0, nan),
+                        (nan, 1.0, 1.0),
+                        (0.0, inf, 1.0),
                     ]
                 )
             )
@@ -420,7 +446,9 @@ class TestRatioSearch:
             want_lo, want_hi = reference_alpha_interval(r, samples)
             assert same_float(lo[i], want_lo) and same_float(hi[i], want_hi)
 
-        got, want = estimate_params(samples), reference_estimate(samples)
+        with counted_passes() as passes:
+            got = estimate_params(samples)
+        want = reference_estimate(samples)
         assert (got.feasible, got.ratio, got.beta, got.sample_count) == (
             want.feasible,
             want.ratio,
@@ -428,28 +456,43 @@ class TestRatioSearch:
             want.sample_count,
         )
         assert got.alpha is want.alpha is None or same_float(got.alpha, want.alpha)
+        # every pass decides at least one of the 20 levels; one more for the floor
+        assert len(passes) <= 21
 
     @pytest.mark.parametrize(
-        "n, levels, floor", [(None, 5, True), (1, 5, False), (300, 2, False), (10_000, 1, False)]
+        "n, passes, floor", [(None, 1, True), (1, 1, False), (300, 1, False), (10_000, 20, False)]
     )
-    def test_pass_count(self, linear, monkeypatch, n, levels, floor):
-        passes = []
-        alpha_interval = certificate._alpha_interval
-
-        def counted(ratios, samples):
-            passes.append(len(ratios))
-            return alpha_interval(ratios, samples)
-
-        monkeypatch.setattr(certificate, "_alpha_interval", counted)
-        if n is not None:
-            samples = sample_comparable_pairs(linear.space, linear.map, n, 42)
-        else:  # one sample at the fixed pair: every ratio is feasible
-            zero = Pair([0.0], [0.0])
-            samples = explicit_pairs(linear.space, linear.map, [(zero, zero)])
-        estimate = estimate_params(samples)
+    def test_pass_count(self, linear, n, passes, floor):
+        samples = linear_samples(linear, n)
+        with counted_passes() as sizes:
+            estimate = estimate_params(samples)
         assert (estimate.ratio == RATIO_TOL) is floor
-        # Bisecting (0, 1 - RATIO_TOL) down to RATIO_TOL takes 20 levels,
-        # decided `levels` at a time; a ratio clamped to the floor needs its
-        # own alpha interval.
-        assert len(passes) == math.ceil(20 / levels) + floor
-        assert passes[0] == 2**levels  # the top ratio and 2^k - 1 midpoints
+        # Bisecting (0, 1 - RATIO_TOL) down to RATIO_TOL takes 20 levels. Up
+        # to PASS_FLOATS // 20 samples the first pass tests the top ratio,
+        # the whole predicted path and the floor when the path ends below
+        # it; from PASS_FLOATS / 2 samples a pass holds one midpoint.
+        assert len(sizes) == passes
+        assert sizes[0] == (1 + 20 + floor if passes == 1 else 2)
+
+    @pytest.mark.parametrize("guess", [0.0, 0.999, math.nan])
+    @pytest.mark.parametrize("n", [None, 1, 300, 3000, "infeasible"])
+    def test_guess_changes_only_the_pass_count(self, linear, monkeypatch, n, guess):
+        if n == "infeasible":  # image distance = distance sum, no rational term
+            samples = SampleSet((), np.array([1.0]), np.array([0.0]), np.array([1.0]))
+        else:
+            samples = linear_samples(linear, n)
+        want = json.dumps(estimate_params(samples).to_jsonable())
+        monkeypatch.setattr(certificate, "_predicted_ratio", lambda samples: guess)
+        with counted_passes() as passes:
+            got = json.dumps(estimate_params(samples).to_jsonable())
+        assert got == want
+        assert len(passes) <= 21
+
+
+def linear_samples(linear, n):
+    """``n`` drawn samples of linear_demo; None for one sample at its fixed
+    pair, where every ratio is feasible and the estimate is the floor."""
+    if n is None:
+        zero = Pair([0.0], [0.0])
+        return explicit_pairs(linear.space, linear.map, [(zero, zero)])
+    return sample_comparable_pairs(linear.space, linear.map, n, 42)

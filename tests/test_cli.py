@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from coupledfp import InputError
 from coupledfp.cli import _dumps, main
+from coupledfp.expressions import MAX_DEPTH
 from coupledfp.parallel import worker_cap
 
 
@@ -404,11 +405,40 @@ class TestBoxWiderThanTheLargestFloat:
         assert err.startswith("error: ") and "wider than the largest float" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error")
     def test_solve_still_runs(self, capsys, tmp_path):
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(self.CONFIG))
         code, _, err = run_cli(capsys, "solve", "--config", str(path))
-        assert code == 0, err
+        assert code == 0 and err == ""
+
+
+class TestDeepExpressions:
+    # An expression of depth d in MAX_DEPTH's levels; "x1/2" is 2 deep.
+    SHAPES = {
+        "parentheses": lambda d: "(" * (d - 2) + "x1/2" + ")" * (d - 2),
+        "calls": lambda d: "abs(" * (d - 2) + "x1/2" + ")" * (d - 2),
+        "sum": lambda d: " + ".join(["x1/400"] * (d - 1)),
+    }
+
+    @pytest.mark.parametrize("depth", [MAX_DEPTH, MAX_DEPTH + 1], ids=["limit", "past"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_depth_limit(self, capsys, tmp_path, shape, depth):
+        config = {
+            "dim": 1,
+            "components_F": [self.SHAPES[shape](depth)],
+            "domain_box": [0.0, 1.0],
+            "seed": {"x0": [0.0], "y0": [1.0]},
+        }
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "solve", "--config", str(path))
+        if depth <= MAX_DEPTH:
+            assert code == 0 and "converged: true" in out, err
+        else:
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert f"nests deeper than {MAX_DEPTH} levels" in err
 
 
 class TestModuleEntryPoints:

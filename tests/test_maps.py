@@ -25,6 +25,8 @@ from coupledfp import (
     verify_coupled_fixed_point,
 )
 
+from coupledfp.maps import _uniform_in_box
+
 SPACE1 = SpaceDescriptor(dim=1)
 CONFIGS = os.path.join(os.path.dirname(__file__), "data", "configs")
 
@@ -401,3 +403,29 @@ class TestMixedMonotone:
     def test_sample_count_validated(self, linear):
         with pytest.raises(InputError):
             mixed_monotone_check(linear.map, 0, rng_seed=1)
+
+
+class TestUniformInBox:
+    @pytest.mark.parametrize(
+        "lower, upper, size",
+        [
+            ([-0.0], [0.0], (300, 1)),
+            ([-1.0, 0.0, 2.0, -3.0], [1.0, 0.0, 5.0, -2.0], (400, 4)),
+            ([-0.0, 1.0, 2.0], [0.0, 1.0, 4.0], (50, 6, 3)),
+            ([-1e300], [1e300], (300, 1)),
+            ([1e-300], [2e-300], (300, 1)),
+            (np.zeros(1024), np.linspace(0.0, 3.0, 1024), (100, 6, 1024)),
+        ],
+        ids=["signed-zero", "degenerate-side", "six-rows", "huge", "tiny", "n1024"],
+    )
+    def test_bit_equal_to_rng_uniform(self, lower, upper, size):
+        F = CoupledMap("box", len(lower), lambda x, y: x, lower=lower, upper=upper)
+        got = _uniform_in_box(F, np.random.default_rng(7), size)
+        want = np.random.default_rng(7).uniform(F.lower, F.upper, size=size)
+        # bit patterns, so that -0.0 and 0.0 differ
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_infinite_width_rejected(self):
+        F = CoupledMap("wide", 1, lambda x, y: x, lower=[-1e308], upper=[1e308])
+        with pytest.raises(InputError, match="wider than the largest float"):
+            _uniform_in_box(F, np.random.default_rng(0), (3, 1))
