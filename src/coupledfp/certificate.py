@@ -25,7 +25,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DomainError, InputError
-from .maps import ContractionParams, CoupledMap, _images, _uniform_in_box, margin_terms
+from .maps import ContractionParams, CoupledMap, _uniform_in_box, margin_terms
 from .spaces import Pair, SpaceDescriptor, _check_dims, _positive_int, rows_product_leq
 
 # Resolution of the bisection search for the minimal feasible ratio.
@@ -128,12 +128,9 @@ def explicit_pairs(
     space: SpaceDescriptor, F: CoupledMap, pairs: list[tuple[Pair, Pair]]
 ) -> SampleSet:
     """The SampleSet of given (a, b) pairs, in order; each must have b <= a."""
-    if not pairs:
-        empty = np.empty((0, F.dim))
-        return _sample_set(space, F, empty, empty, empty, empty)
     _check_dims(space, *(p.first for pair in pairs for p in pair))
-    stacks = zip(*((a.first, a.second, b.first, b.second) for a, b in pairs))
-    a_first, a_second, b_first, b_second = (np.array(stack) for stack in stacks)
+    rows = np.array([(a.first, a.second, b.first, b.second) for a, b in pairs])
+    a_first, a_second, b_first, b_second = rows.reshape(-1, 4, space.dim).transpose(1, 0, 2)
     if not rows_product_leq(b_first, b_second, a_first, a_second).all():
         raise InputError("sample pairs require b <= a in the pair order")
     return _sample_set(space, F, a_first, a_second, b_first, b_second)
@@ -157,8 +154,16 @@ def sample_comparable_pairs(
     b_first = _uniform_in_box(F, rng, shape)
     b_second = _uniform_in_box(F, rng, shape)
     width = hi - lo
-    a_first = np.minimum(b_first + rng.uniform(0.0, 1.0, size=shape) * width, hi)
-    a_second = np.maximum(b_second - rng.uniform(0.0, 1.0, size=shape) * width, lo)
+    # Offsets drawn in place, bit for bit rng.uniform(0.0, 1.0) * width:
+    # that reads the same stream and computes 0.0 + 1.0 * u == u.
+    a_first = rng.random(shape)
+    a_first *= width
+    a_first += b_first
+    np.minimum(a_first, hi, out=a_first)
+    a_second = rng.random(shape)
+    a_second *= width
+    np.subtract(b_second, a_second, out=a_second)
+    np.maximum(a_second, lo, out=a_second)
     return _sample_set(space, F, a_first, a_second, b_first, b_second)
 
 
@@ -185,9 +190,7 @@ def directed_pairs(space: SpaceDescriptor, F: CoupledMap) -> SampleSet:
             # F(x, y) and F(y, x) in one stacked call, which evaluates
             # nothing when x or y lies outside the box. The rows are copied:
             # the evaluator may hand back one buffer on every call.
-            x_next, y_next = (
-                f[0].copy() for f in _images(F, [(x[None], y[None]), (y[None], x[None])])
-            )
+            x_next, y_next = F.evaluate_rows(np.stack((x, y)), np.stack((y, x))).copy()
             candidates.append((x_next, y_next, x, y))
             x, y = x_next, y_next
     except DomainError:
@@ -314,8 +317,11 @@ def _alpha_interval(ratios: np.ndarray, samples: SampleSet) -> tuple[np.ndarray,
     clipped to [0, 1). All ratios go through one broadcast pass over
     (ratios x samples); row i is bit for bit the interval at ratios[i] alone,
     since broadcasting rounds each element as a scalar pass would and max and
-    min are exact. The clips keep Python's ``max(0.0, raw)`` and
-    ``min(cap, raw)``: a NaN bound gives the clip value, and a zero lo is +0.0.
+    min are exact. A NaN quotient comes from a sample with an infinite
+    distance sum (inf / inf), whose constraint every alpha meets; fmax and
+    fmin skip it, so it leaves the other samples' bounds in place. The clips
+    keep Python's ``max(0.0, raw)`` and ``min(cap, raw)``: a side with no
+    bound but NaN ones gets the clip value, and a zero lo is +0.0.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         h = (0.5 * ratios)[:, None] * samples.distance_sum
@@ -327,8 +333,8 @@ def _alpha_interval(ratios: np.ndarray, samples: SampleSet) -> tuple[np.ndarray,
         # booleans, a > b is a & ~b.
         blocked = ((offset > 0) > (pos | neg)).any(axis=1)
         q = np.divide(offset, slope, out=offset)
-    raw_lo = np.where(pos, q, -np.inf).max(axis=1)
-    raw_hi = np.where(neg, q, np.inf).min(axis=1)
+    raw_lo = np.fmax.reduce(np.where(pos, q, -np.inf), axis=1)
+    raw_hi = np.fmin.reduce(np.where(neg, q, np.inf), axis=1)
     cap = 1.0 - ALPHA_INSET
     lo = np.where(raw_lo > 0.0, raw_lo, 0.0)
     hi = np.where(raw_hi < cap, raw_hi, cap)
@@ -360,18 +366,14 @@ def _predicted_ratio(samples: SampleSet) -> float:
     image, term = samples.image_distance, samples.rational_term
     h = 0.5 * samples.distance_sum
     with np.errstate(all="ignore"):  # non-finite terms make a guess, not an error
-        alpha_min = 0.0
-        flat = h == 0
-        if flat.any():
-            pushed = flat & (image > 0)
-            alpha_min = (image[pushed] / term[pushed]).max(initial=0.0)
-            if not alpha_min <= 1.0 - ALPHA_INSET:
-                return 0.5
+        pushed = (h == 0) & (image > 0)
+        alpha_min = (image[pushed] / term[pushed]).max(initial=0.0)
+        if not alpha_min <= 1.0 - ALPHA_INSET:
+            return 0.5
         a = (image - term) / h
         b = term / h
         finite = np.isfinite(a) & np.isfinite(b)  # h = 0 gives no line
-        if not finite.all():
-            a, b = a[finite], b[finite]
+        a, b = a[finite], b[finite]
         if not len(a):
             return 0.0
 

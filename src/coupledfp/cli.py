@@ -69,14 +69,6 @@ def _dumps(value, indent: str = "\n") -> str:
     return json.dumps(value)
 
 
-def _emit(args, human_lines, payload) -> None:
-    if args.json:
-        print(_dumps(payload))
-    else:
-        for line in human_lines:
-            print(line)
-
-
 def _load_problem(args) -> ProblemSpec:
     if getattr(args, "problem", None) and getattr(args, "config", None):
         raise InputError("give either --problem or --config, not both")
@@ -103,7 +95,7 @@ def _params_from(args, problem: ProblemSpec, required: bool) -> ContractionParam
     return None
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args):
     problem = _load_problem(args)
     params = _params_from(args, problem, required=False)
     config = IterationConfig(max_iter=args.max_iter, tol=args.tol, params=params)
@@ -127,77 +119,73 @@ def _cmd_solve(args) -> int:
         "seed_condition_held": result.seed_condition_held,
         "tol": args.tol,
     }
-    lines = [
-        f"problem: {problem.name}",
-        f"converged: {str(result.converged).lower()} "
-        f"({result.iterations_used} iterations, residual {_fmt(result.final_residual)})",
-    ]
-    if not args.json:  # only the text report formats the coordinates
-        lines.append(f"fixed pair x: {_vec(result.fixed_pair.first)}")
-        lines.append(f"fixed pair y: {_vec(result.fixed_pair.second)}")
-    lines += [
-        f"components equal (tol {_fmt(args.tol)}): {str(result.components_equal).lower()}",
-        f"seed condition held: {str(result.seed_condition_held).lower()}",
-    ]
-    if args.trace:
-        lines.append(f"trace written to {args.trace}")
-    _emit(args, lines, payload)
-    return EXIT_OK if result.converged else EXIT_FINDING
+
+    def text():
+        yield f"problem: {problem.name}"
+        yield (
+            f"converged: {str(result.converged).lower()} "
+            f"({result.iterations_used} iterations, residual {_fmt(result.final_residual)})"
+        )
+        yield f"fixed pair x: {_vec(result.fixed_pair.first)}"
+        yield f"fixed pair y: {_vec(result.fixed_pair.second)}"
+        yield f"components equal (tol {_fmt(args.tol)}): {str(result.components_equal).lower()}"
+        yield f"seed condition held: {str(result.seed_condition_held).lower()}"
+        if args.trace:
+            yield f"trace written to {args.trace}"
+
+    return (EXIT_OK if result.converged else EXIT_FINDING), payload, text
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args):
     problem = _load_problem(args)
     params = _params_from(args, problem, required=True)
     report = certify_region(
         problem.space, problem.map, params, count=args.samples, rng_seed=args.rng_seed
     )
     payload = {"problem": problem.name, **report.to_jsonable()}
-    lines = [
-        f"problem: {problem.name}",
-        f"params: alpha={_fmt(params.alpha)} beta={_fmt(params.beta)} "
-        f"ratio={_fmt(params.ratio)}",
-        f"samples evaluated: {report.sample_count}",
-        f"violations: {report.violations}",
-    ]
-    if report.worst_margin is not None and not args.json:
-        lines.append(f"worst margin: {_fmt(report.worst_margin)}")
-        worst = report.min_margin_pair
-        lines.append(
-            f"worst pair: a=({_vec(worst.a.first)}, {_vec(worst.a.second)}) "
-            f"b=({_vec(worst.b.first)}, {_vec(worst.b.second)})"
+
+    def text():
+        yield f"problem: {problem.name}"
+        yield (
+            f"params: alpha={_fmt(params.alpha)} beta={_fmt(params.beta)} "
+            f"ratio={_fmt(params.ratio)}"
         )
-    verdict = (
-        "contraction hypothesis FALSIFIED"
-        if report.falsified
-        else "not falsified at this sample count"
-    )
-    lines.append(verdict)
-    _emit(args, lines, payload)
-    return EXIT_FINDING if report.falsified else EXIT_OK
+        yield f"samples evaluated: {report.sample_count}"
+        yield f"violations: {report.violations}"
+        if report.worst_margin is not None:
+            yield f"worst margin: {_fmt(report.worst_margin)}"
+            worst = report.min_margin_pair
+            yield (
+                f"worst pair: a=({_vec(worst.a.first)}, {_vec(worst.a.second)}) "
+                f"b=({_vec(worst.b.first)}, {_vec(worst.b.second)})"
+            )
+        if report.falsified:
+            yield "contraction hypothesis FALSIFIED"
+        else:
+            yield "not falsified at this sample count"
+
+    return (EXIT_FINDING if report.falsified else EXIT_OK), payload, text
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args):
     problem = _load_problem(args)
     samples = sample_comparable_pairs(problem.space, problem.map, args.samples, args.rng_seed)
     estimate = estimate_params(samples)
     payload = {"problem": problem.name, **estimate.to_jsonable()}
-    if estimate.feasible:
-        lines = [
-            f"problem: {problem.name}",
-            f"feasible: true (on {estimate.sample_count} samples)",
-            f"minimal ratio: {_fmt(estimate.ratio)} (within {_fmt(estimate.ratio_tol)})",
-            f"witness: alpha={_fmt(estimate.alpha)} beta={_fmt(estimate.beta)}",
-        ]
-    else:
-        lines = [
-            f"problem: {problem.name}",
-            f"feasible: false (no admissible params fit {estimate.sample_count} samples)",
-        ]
-    _emit(args, lines, payload)
-    return EXIT_OK if estimate.feasible else EXIT_FINDING
+
+    def text():
+        yield f"problem: {problem.name}"
+        if estimate.feasible:
+            yield f"feasible: true (on {estimate.sample_count} samples)"
+            yield f"minimal ratio: {_fmt(estimate.ratio)} (within {_fmt(estimate.ratio_tol)})"
+            yield f"witness: alpha={_fmt(estimate.alpha)} beta={_fmt(estimate.beta)}"
+        else:
+            yield f"feasible: false (no admissible params fit {estimate.sample_count} samples)"
+
+    return (EXIT_OK if estimate.feasible else EXIT_FINDING), payload, text
 
 
-def _cmd_check_monotone(args) -> int:
+def _cmd_check_monotone(args):
     problem = _load_problem(args)
     report = mixed_monotone_check(problem.map, args.samples, args.rng_seed)
     payload = {
@@ -207,20 +195,21 @@ def _cmd_check_monotone(args) -> int:
         "worst_excess": report.worst_excess,
         "falsified": report.falsified,
     }
-    lines = [
-        f"problem: {problem.name}",
-        f"samples: {report.sample_count}",
-        f"violations: {report.violations}",
-        f"worst excess: {_fmt(report.worst_excess)}",
-        "mixed monotonicity FALSIFIED"
-        if report.falsified
-        else "not falsified at this sample count",
-    ]
-    _emit(args, lines, payload)
-    return EXIT_FINDING if report.falsified else EXIT_OK
+
+    def text():
+        yield f"problem: {problem.name}"
+        yield f"samples: {report.sample_count}"
+        yield f"violations: {report.violations}"
+        yield f"worst excess: {_fmt(report.worst_excess)}"
+        if report.falsified:
+            yield "mixed monotonicity FALSIFIED"
+        else:
+            yield "not falsified at this sample count"
+
+    return (EXIT_FINDING if report.falsified else EXIT_OK), payload, text
 
 
-def _cmd_probe_uniqueness(args) -> int:
+def _cmd_probe_uniqueness(args):
     problem = _load_problem(args)
     params = _params_from(args, problem, required=False)
     config = IterationConfig(max_iter=args.max_iter, tol=args.tol, params=params)
@@ -250,43 +239,43 @@ def _cmd_probe_uniqueness(args) -> int:
             for r in report.runs
         ],
     }
-    lines = [f"problem: {problem.name}", f"seeds probed: {len(seeds)}"]
-    for r in report.runs if not args.json else ():  # --json prints no coordinates
-        seed = f"  seed {_vec(r.seed.first)}/{_vec(r.seed.second)}"
-        if r.error is not None:
-            lines.append(f"{seed}: DIVERGED")
+
+    def text():
+        yield f"problem: {problem.name}"
+        yield f"seeds probed: {len(seeds)}"
+        for r in report.runs:
+            seed = f"  seed {_vec(r.seed.first)}/{_vec(r.seed.second)}"
+            if r.error is not None:
+                yield f"{seed}: DIVERGED"
+            else:
+                state = "converged" if r.result.converged else "did not converge"
+                flag = "" if r.result.seed_condition_held else " [seed condition failed]"
+                yield f"{seed}: {state}{flag}"
+        if report.max_pairwise_distance is not None:
+            yield f"max pairwise limit distance: {_fmt(report.max_pairwise_distance)}"
+        yield f"bridge pairs comparable to both limits: {str(report.bridge_comparable).lower()}"
+        if report.all_agree:
+            yield "limits agree within tol"
         else:
-            state = "converged" if r.result.converged else "did not converge"
-            flag = "" if r.result.seed_condition_held else " [seed condition failed]"
-            lines.append(f"{seed}: {state}{flag}")
-    if report.max_pairwise_distance is not None:
-        lines.append(f"max pairwise limit distance: {_fmt(report.max_pairwise_distance)}")
-    lines.append(
-        f"bridge pairs comparable to both limits: "
-        f"{str(report.bridge_comparable).lower()}"
-    )
-    lines.append(
-        "limits agree within tol"
-        if report.all_agree
-        else "limits DISAGREE (or a run failed)"
-    )
-    _emit(args, lines, payload)
-    return EXIT_OK if report.all_agree else EXIT_FINDING
+            yield "limits DISAGREE (or a run failed)"
+
+    return (EXIT_OK if report.all_agree else EXIT_FINDING), payload, text
 
 
-def _cmd_list_builtins(args) -> int:
+def _cmd_list_builtins(args):
     specs = [get_builtin(name) for name in sorted(BUILTINS)]
     payload = [spec.describe() for spec in specs]
-    lines = []
-    for spec in specs:
-        p = spec.suggested_params
-        lines.append(
-            f"{spec.name}: dim={spec.space.dim} metric={spec.space.metric} "
-            f"seed=({_vec(spec.seed.first)}, {_vec(spec.seed.second)}) "
-            f"params=(alpha={_fmt(p.alpha)}, beta={_fmt(p.beta)})"
-        )
-    _emit(args, lines, payload)
-    return EXIT_OK
+
+    def text():
+        for spec in specs:
+            p = spec.suggested_params
+            yield (
+                f"{spec.name}: dim={spec.space.dim} metric={spec.space.metric} "
+                f"seed=({_vec(spec.seed.first)}, {_vec(spec.seed.second)}) "
+                f"params=(alpha={_fmt(p.alpha)}, beta={_fmt(p.beta)})"
+            )
+
+    return EXIT_OK, payload, text
 
 
 @functools.cache
@@ -339,6 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command line and return its exit code.
+
+    Each subcommand handler returns (exit code, JSON payload, text), where
+    text is a zero-argument generator of the report's lines. Only here is
+    one of the two chosen and printed, so under --json no text is formatted.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -346,7 +341,9 @@ def main(argv=None) -> int:
             raise InputError(f"--rng-seed must be >= 0, got {args.rng_seed}")
         if getattr(args, "samples", 1) < 1:
             raise InputError(f"{args.command} needs --samples >= 1")
-        return args.handler(args)
+        code, payload, text = args.handler(args)
+        print(_dumps(payload) if args.json else "\n".join(text()))
+        return code
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

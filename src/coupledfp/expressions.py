@@ -66,6 +66,8 @@ _VARIABLE_RE = re.compile(r"([xy])([0-9]+)\Z")
 
 # precedence levels used when inserting parentheses on serialization
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_ATOM = 1, 2, 3, 4
+# Binary operators by parser level, loosest binding first.
+_LEVELS = ("+-", "*/")
 
 # Stacks of at most this many rows take the row-by-row tree walk. The walk
 # and a stacked call cost the same at 3 to 6 rows on the shipped expression
@@ -271,8 +273,11 @@ def _tokenize(text: str) -> list[_Token]:
 class _Parser:
     """Recursive descent over the grammar; each method returns a node and its
     depth in MAX_DEPTH's levels, and rejects a node deeper than the limit as
-    it is built. A group (parentheses, a call or a minus sign) is refused
-    on entry once MAX_DEPTH groups are open, before the descent recurses."""
+    it is built. One `expr` handles every binary operator level, loosest
+    first (_LEVELS), by calling itself directly for the next level, so a
+    level costs one frame. A group (parentheses, a call or a minus sign) is
+    refused on entry once MAX_DEPTH groups are open, before the descent
+    recurses."""
 
     def __init__(self, text: str, dim: int):
         self.tokens = _tokenize(text)
@@ -309,21 +314,13 @@ class _Parser:
         self.open_groups += 1
         self.check(self.open_groups + 1, tok)  # its contents are a level more
 
-    def expr(self) -> tuple[Expression, int]:
-        node, depth = self.term()
-        while self.peek().kind == "OP" and self.peek().text in "+-":
+    def expr(self, level: int = 0) -> tuple[Expression, int]:
+        """A left-associative chain of the operators of _LEVELS[level]."""
+        inner = level + 1 < len(_LEVELS)
+        node, depth = self.expr(level + 1) if inner else self.factor()
+        while self.peek().kind == "OP" and self.peek().text in _LEVELS[level]:
             tok = self.advance()
-            right, right_depth = self.term()
-            node, depth = self.built(
-                BinaryOp(tok.text, node, right), 1 + max(depth, right_depth), tok
-            )
-        return node, depth
-
-    def term(self) -> tuple[Expression, int]:
-        node, depth = self.factor()
-        while self.peek().kind == "OP" and self.peek().text in "*/":
-            tok = self.advance()
-            right, right_depth = self.factor()
+            right, right_depth = self.expr(level + 1) if inner else self.factor()
             node, depth = self.built(
                 BinaryOp(tok.text, node, right), 1 + max(depth, right_depth), tok
             )

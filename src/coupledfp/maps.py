@@ -384,12 +384,8 @@ def mixed_monotone_check(F: CoupledMap, sample_count: int, rng_seed: int) -> Mon
     if excess[k] <= 0:
         return MonotoneReport(sample_count, violations, 0.0, None, rng_seed)
     p, q, y_fix, x_fix, r, s = draws[k].copy()
-    if excess_first[k] >= excess_second[k]:
-        worst = MonotoneWitness(
-            "first-argument", np.minimum(p, q), np.maximum(p, q), y_fix, float(excess[k])
-        )
-    else:
-        worst = MonotoneWitness(
-            "second-argument", np.minimum(r, s), np.maximum(r, s), x_fix, float(excess[k])
-        )
+    first = excess_first[k] >= excess_second[k]
+    kind = "first-argument" if first else "second-argument"
+    u, v, other = (p, q, y_fix) if first else (r, s, x_fix)
+    worst = MonotoneWitness(kind, np.minimum(u, v), np.maximum(u, v), other, float(excess[k]))
     return MonotoneReport(sample_count, violations, float(excess[k]), worst, rng_seed)

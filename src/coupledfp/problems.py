@@ -121,32 +121,24 @@ def _kernel_product(kernel: np.ndarray, d: np.ndarray) -> np.ndarray:
     return (d[:, None, :] @ kernel.T)[:, 0, :]
 
 
-def _share_rows(d: np.ndarray):
-    """Rows of the (n, N) stack d equal to an earlier row or to its negation.
+def _share_rows(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of the (n, N) stack d, the row whose product it takes.
 
-    Returns None when there are none, else (k, j, flip): row k[i] equals row
-    j[i], negated where flip[i], and no j[i] is itself in k. Candidates share
-    the fingerprint sum |d| and every share is confirmed on the whole row, so
-    a fingerprint collision only costs a product. Since a - b == -(b - a)
-    and rounding to nearest is symmetric, kernel @ -d is -(kernel @ d) up to
-    the sign of zeros, which 0.25 + erases; zeros of either sign therefore
-    compare equal here.
+    Returns (j, flip): row k equals row j[k], negated where flip[k], and
+    j[k] == k means row k computes its own product. Rows are grouped by the
+    fingerprint sum |d|, each row is matched only against the earliest row
+    of its group (which computes its own), and every match is confirmed on
+    the whole row, so a fingerprint collision only costs a product. Since
+    a - b == -(b - a) and rounding to nearest is symmetric, kernel @ -d is
+    -(kernel @ d) up to the sign of zeros, which 0.25 + erases; zeros of
+    either sign therefore compare equal here.
     """
-    fingerprint = np.abs(d).sum(axis=1)
-    order = np.argsort(fingerprint, kind="stable")
-    tie = fingerprint[order[1:]] == fingerprint[order[:-1]]
-    if not tie.any():
-        return None
-    # Each candidate is matched against the earliest row of its fingerprint.
-    starts = np.where(np.concatenate(([True], ~tie)), np.arange(len(d)), 0)
-    k = order[1:][tie]
-    j = order[np.maximum.accumulate(starts)[1:][tie]]
-    same = np.all(d[k] == d[j], axis=1)
-    flip = ~same & np.all(d[k] == -d[j], axis=1)
-    shared = same | flip
-    if not shared.any():
-        return None
-    return k[shared], j[shared], flip[shared]
+    _, first, group = np.unique(np.abs(d).sum(axis=1), return_index=True, return_inverse=True)
+    j = first[group]
+    match = d[j]
+    same = np.all(d == match, axis=1)
+    flip = ~same & np.all(d == np.negative(match, out=match), axis=1)
+    return np.where(same | flip, j, np.arange(len(d))), flip
 
 
 def integral_demo(n_nodes: int = 16) -> ProblemSpec:
@@ -167,16 +159,15 @@ def integral_demo(n_nodes: int = 16) -> ProblemSpec:
         # product is computed once per distinct row up to sign (see
         # _share_rows) and negated for the other, bit for bit.
         d = squash(x) - squash(y)
-        shares = _share_rows(d)
-        if shares is None:
-            return 0.25 + scale * _kernel_product(kernel, d)
-        k, j, flip = shares
-        own = np.ones(len(d), dtype=bool)
-        own[k] = False
-        scaled = np.empty_like(d)
-        scaled[own] = scale * _kernel_product(kernel, d[own])
-        scaled[k] = np.where(flip[:, None], -scaled[j], scaled[j])
-        return 0.25 + scaled
+        j, flip = _share_rows(d)
+        own = j == np.arange(len(d))
+        products = _kernel_product(kernel, d[own])
+        products *= scale
+        # products holds the own rows in order: own row j is number cumsum(own)[j] - 1.
+        out = products[(np.cumsum(own) - 1)[j]]
+        np.negative(out, out=out, where=flip[:, None])
+        out += 0.25
+        return out
 
     space = SpaceDescriptor(dim=n_nodes, metric="max")
     F = CoupledMap(

@@ -283,6 +283,26 @@ class TestEstimate:
         estimate = estimate_params(witness)
         assert not estimate.feasible
 
+    def test_infinite_distance_sum_bounds_nothing(self, linear):
+        # (1.0, 1.0, inf) gives the quotient inf / inf = NaN at every ratio;
+        # every alpha meets its constraint, so it may not lift the others'
+        # bounds.
+        def with_inf(s):
+            return SampleSet(
+                (),
+                np.append(s.image_distance, 1.0),
+                np.append(s.rational_term, 1.0),
+                np.append(s.distance_sum, math.inf),
+            )
+
+        lone = SampleSet((), np.array([0.9]), np.array([0.0]), np.array([1.0]))
+        assert not estimate_params(lone).feasible
+        assert not estimate_params(with_inf(lone)).feasible
+        samples = sample_comparable_pairs(linear.space, linear.map, 300, 42)
+        want = estimate_params(samples)
+        got = estimate_params(with_inf(samples))
+        assert (got.ratio, got.alpha, got.beta) == (want.ratio, want.alpha, want.beta)
+
     def test_single_zero_sample_hits_floor(self, linear):
         s = explicit_pairs(linear.space, linear.map, [(Pair([0.0], [0.0]), Pair([0.0], [0.0]))])
         assert s[0].image_distance == 0.0
@@ -319,7 +339,8 @@ def counted_passes():
 
 def reference_alpha_interval(r: float, samples: SampleSet) -> tuple[float, float]:
     """The feasible alpha interval at one ratio, one pass per ratio: the
-    search's first definition, kept as the oracle for the batched one."""
+    search's first definition, kept as the oracle for the batched one. A
+    NaN quotient (a sample with an infinite distance sum) bounds nothing."""
     with np.errstate(invalid="ignore"):
         slope = samples.rational_term - 0.5 * r * samples.distance_sum
         offset = samples.image_distance - 0.5 * r * samples.distance_sum
@@ -331,9 +352,9 @@ def reference_alpha_interval(r: float, samples: SampleSet) -> tuple[float, float
         return 1.0, 0.0
     with np.errstate(invalid="ignore"):
         if np.any(pos):
-            lo = max(lo, float(np.max(offset[pos] / slope[pos])))
+            lo = max(lo, float(np.fmax.reduce(offset[pos] / slope[pos])))
         if np.any(neg):
-            hi = min(hi, float(np.min(offset[neg] / slope[neg])))
+            hi = min(hi, float(np.fmin.reduce(offset[neg] / slope[neg])))
     return lo, hi
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from coupledfp import InputError
+from coupledfp import InputError, cli
 from coupledfp.cli import _dumps, main
 from coupledfp.expressions import MAX_DEPTH
 from coupledfp.parallel import worker_cap
@@ -355,6 +355,33 @@ class TestJsonEncoder:
             assert out == ""
         else:
             assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+class TestJsonFormatsNoText:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--problem", "affine_demo"],
+            ["certify", "--problem", "linear_demo", "--samples", "20"],
+            ["certify", "--problem", "linear_demo", "--samples", "20",
+             "--alpha", "0.01", "--beta", "0.02"],
+            ["estimate", "--problem", "linear_demo", "--samples", "20"],
+            ["check-monotone", "--problem", "linear_demo", "--samples", "20"],
+            ["probe-uniqueness", "--problem", "linear_demo"],
+            ["list-builtins"],
+        ],
+        ids=["solve", "certify", "certify-finding", "estimate", "check-monotone",
+             "probe-uniqueness", "list-builtins"],
+    )
+    def test_same_output_with_formatters_raising(self, capsys, monkeypatch, argv):
+        want = run_cli(capsys, *argv, "--json")
+
+        def refuse(*args):
+            raise AssertionError("a text line was formatted under --json")
+
+        monkeypatch.setattr(cli, "_fmt", refuse)
+        monkeypatch.setattr(cli, "_vec", refuse)
+        assert run_cli(capsys, *argv, "--json") == want
 
 
 class TestUsageErrors:

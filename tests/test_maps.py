@@ -22,6 +22,7 @@ from coupledfp import (
     load_problem,
     mixed_monotone_check,
     rational_min_term,
+    sample_comparable_pairs,
     verify_coupled_fixed_point,
 )
 
@@ -405,25 +406,49 @@ class TestMixedMonotone:
             mixed_monotone_check(linear.map, 0, rng_seed=1)
 
 
+def box_draw(F, size):
+    """`_uniform_in_box` and `rng.uniform` on one seed."""
+    got = _uniform_in_box(F, np.random.default_rng(7), size)
+    return [got], [np.random.default_rng(7).uniform(F.lower, F.upper, size=size)]
+
+
+def pair_offsets(F, size):
+    """`sample_comparable_pairs`' four stacks and its formula on `rng.uniform`."""
+    shape = (size[0], F.dim)
+    # The max metric: a euclidean distance on the huge box overflows to inf.
+    (got,) = sample_comparable_pairs(SpaceDescriptor(F.dim, "max"), F, size[0], 7).parts
+    rng = np.random.default_rng(7)
+    b_first = rng.uniform(F.lower, F.upper, size=shape)
+    b_second = rng.uniform(F.lower, F.upper, size=shape)
+    width = F.upper - F.lower
+    a_first = np.minimum(b_first + rng.uniform(0.0, 1.0, size=shape) * width, F.upper)
+    a_second = np.maximum(b_second - rng.uniform(0.0, 1.0, size=shape) * width, F.lower)
+    return list(got), [a_first, a_second, b_first, b_second]
+
+
+BOXES = {
+    "signed-zero": ([-0.0], [0.0], (300, 1)),
+    "degenerate-side": ([-1.0, 0.0, 2.0, -3.0], [1.0, 0.0, 5.0, -2.0], (400, 4)),
+    "six-rows": ([-0.0, 1.0, 2.0], [0.0, 1.0, 4.0], (50, 6, 3)),
+    "huge": ([-1e300], [1e300], (300, 1)),
+    "tiny": ([1e-300], [2e-300], (300, 1)),
+    "n1024": (np.zeros(1024), np.linspace(0.0, 3.0, 1024), (100, 6, 1024)),
+}
+
+
 class TestUniformInBox:
     @pytest.mark.parametrize(
-        "lower, upper, size",
-        [
-            ([-0.0], [0.0], (300, 1)),
-            ([-1.0, 0.0, 2.0, -3.0], [1.0, 0.0, 5.0, -2.0], (400, 4)),
-            ([-0.0, 1.0, 2.0], [0.0, 1.0, 4.0], (50, 6, 3)),
-            ([-1e300], [1e300], (300, 1)),
-            ([1e-300], [2e-300], (300, 1)),
-            (np.zeros(1024), np.linspace(0.0, 3.0, 1024), (100, 6, 1024)),
-        ],
-        ids=["signed-zero", "degenerate-side", "six-rows", "huge", "tiny", "n1024"],
+        "draw, lower, upper, size",
+        [pytest.param(box_draw, *box, id=name) for name, box in BOXES.items()]
+        + [pytest.param(pair_offsets, *box, id=f"pair-offsets-{name}")
+           for name, box in BOXES.items()],
     )
-    def test_bit_equal_to_rng_uniform(self, lower, upper, size):
+    def test_bit_equal_to_rng_uniform(self, draw, lower, upper, size):
         F = CoupledMap("box", len(lower), lambda x, y: x, lower=lower, upper=upper)
-        got = _uniform_in_box(F, np.random.default_rng(7), size)
-        want = np.random.default_rng(7).uniform(F.lower, F.upper, size=size)
-        # bit patterns, so that -0.0 and 0.0 differ
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        got, want = draw(F, size)
+        for g, w in zip(got, want, strict=True):
+            # bit patterns, so that -0.0 and 0.0 differ
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
     def test_infinite_width_rejected(self):
         F = CoupledMap("wide", 1, lambda x, y: x, lower=[-1e308], upper=[1e308])
