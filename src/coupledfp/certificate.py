@@ -25,7 +25,15 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DomainError, InputError
-from .maps import ContractionParams, CoupledMap, _uniform_in_box, margin_terms
+from .maps import (
+    ContractionParams,
+    CoupledMap,
+    _box_width,
+    _sample_blocks,
+    _skip,
+    _uniform_in_box,
+    margin_terms,
+)
 from .spaces import Pair, SpaceDescriptor, _check_dims, _positive_int, rows_product_leq
 
 # Resolution of the bisection search for the minimal feasible ratio.
@@ -63,18 +71,82 @@ class SamplePair:
     distance_sum: float
 
 
-@dataclass(frozen=True, eq=False)
-class SampleSet:
-    """Ordered pairs of pairs held as arrays, one row per sample.
+class _HeldFamily:
+    """A sample family kept as its four (n, dim) stacks."""
 
-    ``parts`` holds one (a_first, a_second, b_first, b_second) tuple of
-    (n_i, dim) stacks per sample family, in sample order; families are kept
-    apart rather than copied into one stack. The three (n,) term arrays are
-    those of `margin_terms` and run over all samples. Indexing and iteration
-    yield a `SamplePair` with its own copy of the row; `+` joins two sets.
+    def __init__(self, stacks: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]):
+        self.stacks = stacks
+
+    def __len__(self) -> int:
+        return len(self.stacks[0])
+
+    def rows(self, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, ...]:
+        """(a_first, a_second, b_first, b_second) of rows [lo, hi), as views."""
+        return tuple(stack[lo:hi] for stack in self.stacks)
+
+
+class _UniformFamily:
+    """The uniform draw of `sample_comparable_pairs`, drawn again on demand.
+
+    Its stacks are never kept. The one-shot layout of the random stream is
+    family-major: b_first (count x dim doubles), b_second, the first
+    offsets, the second offsets. So rows [lo, hi) of stack f start at double
+    (f * count + lo) * dim, and `rows` skips a fresh generator from one
+    stack's rows to the next, which reproduces the one-shot draw bit for bit.
     """
 
-    parts: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+    def __init__(self, F: CoupledMap, count: int, rng_seed: int, width: np.ndarray):
+        self.F = F
+        self.count = count
+        self.rng_seed = rng_seed
+        self.width = width  # the box's checked `_box_width`
+
+    def __len__(self) -> int:
+        return self.count
+
+    def rows(self, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, ...]:
+        """(a_first, a_second, b_first, b_second) of rows [lo, hi), drawn again."""
+        F, width = self.F, self.width
+        hi = self.count if hi is None else hi
+        shape = (hi - lo, F.dim)
+        rng = np.random.default_rng(self.rng_seed)
+        # from the end of rows [lo, hi) of one stack to their start in the next
+        skip = (self.count - (hi - lo)) * F.dim
+        _skip(rng, lo * F.dim)
+        b_first = _uniform_in_box(F, rng, shape, width)
+        _skip(rng, skip)
+        b_second = _uniform_in_box(F, rng, shape, width)
+        # Offsets drawn in place, bit for bit rng.uniform(0.0, 1.0) * width:
+        # that reads the same stream and computes 0.0 + 1.0 * u == u.
+        _skip(rng, skip)
+        a_first = rng.random(shape)
+        a_first *= width
+        a_first += b_first
+        np.minimum(a_first, F.upper, out=a_first)
+        _skip(rng, skip)
+        a_second = rng.random(shape)
+        a_second *= width
+        np.subtract(b_second, a_second, out=a_second)
+        np.maximum(a_second, F.lower, out=a_second)
+        return a_first, a_second, b_first, b_second
+
+
+@dataclass(frozen=True, eq=False)
+class SampleSet:
+    """Ordered pairs of pairs and their terms, one row per sample.
+
+    ``parts`` holds one entry per sample family, in sample order; families
+    are kept apart rather than copied into one stack. An entry's
+    ``rows(lo, hi)`` gives the (a_first, a_second, b_first, b_second) stacks
+    of its rows [lo, hi): `directed_pairs` and `explicit_pairs` keep theirs,
+    and the uniform family of `sample_comparable_pairs` keeps none and draws
+    them again from its seed, without evaluating the map. The three (n,)
+    term arrays are those of `margin_terms` and run over all samples.
+    Indexing and iteration yield a `SamplePair` with its own copy of the
+    row; `+` joins two sets.
+    """
+
+    parts: tuple[_HeldFamily | _UniformFamily, ...]
     image_distance: np.ndarray
     rational_term: np.ndarray
     distance_sum: np.ndarray
@@ -89,10 +161,10 @@ class SampleSet:
         k %= n
         row = k
         for part in self.parts:
-            if row < len(part[0]):
+            if row < len(part):
                 break
-            row -= len(part[0])
-        a_first, a_second, b_first, b_second = (stack[row].copy() for stack in part)
+            row -= len(part)
+        a_first, a_second, b_first, b_second = (s[0].copy() for s in part.rows(row, row + 1))
         return SamplePair(
             Pair(a_first, a_second),
             Pair(b_first, b_second),
@@ -120,7 +192,7 @@ def _sample_set(
 ) -> SampleSet:
     """The SampleSet of (n, dim) coordinate stacks already ordered b <= a."""
     stacks = (a_first, a_second, b_first, b_second)
-    parts = (stacks,) if len(a_first) else ()
+    parts = (_HeldFamily(stacks),) if len(a_first) else ()
     return SampleSet(parts, *margin_terms(space, F, *stacks))
 
 
@@ -144,27 +216,19 @@ def sample_comparable_pairs(
     b is uniform in the domain box; a adds a nonnegative offset to the first
     component and a nonpositive one to the second, clipped back to the box,
     so b <= a holds by construction. A box of zero width along a coordinate
-    pins that coordinate. Deterministic for a given seed: all randomness is
-    drawn in one fixed-layout block up front.
+    pins that coordinate. Deterministic for a given seed: the random stream
+    keeps one fixed layout (see `_UniformFamily`), and the samples are drawn
+    and scored one block of `maps._sample_blocks` at a time. Only the three
+    terms per sample are kept, so memory is O(block + count) floats; a row
+    asked for later is drawn again.
     """
     _positive_int(count, "count must be >= 0, got {!r}", minimum=0)
-    lo, hi = F.lower, F.upper
-    rng = np.random.default_rng(rng_seed)
-    shape = (count, F.dim)
-    b_first = _uniform_in_box(F, rng, shape)
-    b_second = _uniform_in_box(F, rng, shape)
-    width = hi - lo
-    # Offsets drawn in place, bit for bit rng.uniform(0.0, 1.0) * width:
-    # that reads the same stream and computes 0.0 + 1.0 * u == u.
-    a_first = rng.random(shape)
-    a_first *= width
-    a_first += b_first
-    np.minimum(a_first, hi, out=a_first)
-    a_second = rng.random(shape)
-    a_second *= width
-    np.subtract(b_second, a_second, out=a_second)
-    np.maximum(a_second, lo, out=a_second)
-    return _sample_set(space, F, a_first, a_second, b_first, b_second)
+    _check_dims(space, F.lower)  # as margin_terms does, also for a count of 0
+    family = _UniformFamily(F, count, rng_seed, _box_width(F, space))
+    terms = np.empty((3, count))
+    for lo, hi in _sample_blocks(count, F.dim, 4):
+        terms[:, lo:hi] = margin_terms(space, F, *family.rows(lo, hi))
+    return SampleSet((family,) if count else (), *terms)
 
 
 def directed_pairs(space: SpaceDescriptor, F: CoupledMap) -> SampleSet:
@@ -243,7 +307,8 @@ def evaluate_samples(params: ContractionParams, samples: SampleSet) -> Certifica
     """Margins of a fixed sample set under one parameter choice.
 
     Aggregation is a count and a min, so it is order independent; the worst
-    pair is the first sample with the least margin.
+    pair is the first sample with the least margin. A margin that is not
+    >= 0, NaN included, is a violation (a NaN margin is also the worst).
     """
     margins = params.margin(samples.image_distance, samples.rational_term, samples.distance_sum)
     if len(margins):
@@ -255,7 +320,7 @@ def evaluate_samples(params: ContractionParams, samples: SampleSet) -> Certifica
         worst_pair = None
     return CertificateReport(
         sample_count=len(samples),
-        violations=int(np.count_nonzero(margins < 0)),
+        violations=int(np.count_nonzero(~(margins >= 0))),
         worst_margin=worst_margin,
         min_margin_pair=worst_pair,
         params=params,

@@ -23,8 +23,9 @@ from .errors import ComparabilityError, DimensionMismatchError, DomainError, Inp
 from .spaces import Pair, SpaceDescriptor, as_point, product_leq, row_distances
 from .spaces import _check_dims, _positive_int
 
-# Floats in one stack of map arguments: sampled checks evaluate their images
-# in blocks of this size, so memory stays bounded whatever the sample count.
+# Floats in one stack of map arguments: sampled checks draw, evaluate and
+# score their samples in blocks of this size and keep only per-sample results,
+# so memory stays bounded whatever the sample count.
 BLOCK_FLOATS = 2**16
 
 
@@ -332,13 +333,14 @@ class MonotoneReport:
         return self.violations > 0
 
 
-def _uniform_in_box(F: CoupledMap, rng: np.random.Generator, size) -> np.ndarray:
-    """``rng.uniform`` over the map's domain box, the one draw of every sampler.
+def _box_width(F: CoupledMap, space: SpaceDescriptor | None = None) -> np.ndarray:
+    """The width ``upper - lower`` of the map's domain box, checked for sampling.
 
-    Element for element ``rng.uniform(lower, upper, size)``, which computes
-    ``lower + (upper - lower) * rng.random()``, in place on one buffer.
     InputError when a side of the box is wider than the largest float, where
-    the draw itself would overflow.
+    a draw itself would overflow, or, given ``space``, when the distance
+    from ``lower`` to ``upper`` is not finite in its metric (the euclidean
+    one squares the width), where distances between samples would overflow
+    and their margins come out NaN.
     """
     with np.errstate(over="ignore"):
         width = F.upper - F.lower
@@ -347,10 +349,41 @@ def _uniform_in_box(F: CoupledMap, rng: np.random.Generator, size) -> np.ndarray
             f"domain box of map {F.name!r} is wider than the largest float; "
             "sampling needs a finite width"
         )
+    if space is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = row_distances(space, F.upper[None], F.lower[None])[0]
+        if not np.isfinite(norm):
+            raise InputError(
+                f"distances across the domain box of map {F.name!r} overflow in the "
+                f"{space.metric} metric; sampling needs finite distances"
+            )
+    return width
+
+
+def _uniform_in_box(
+    F: CoupledMap, rng: np.random.Generator, size, width: np.ndarray | None = None
+) -> np.ndarray:
+    """``rng.uniform`` over the map's domain box, the one draw of every sampler.
+
+    Element for element ``rng.uniform(lower, upper, size)``, which computes
+    ``lower + (upper - lower) * rng.random()``, in place on one buffer.
+    ``width`` is the box's `_box_width`, which a caller drawing many times
+    checks once; without it the check runs here, and raises InputError when
+    a side of the box is wider than the largest float.
+    """
     draw = rng.random(size)
-    draw *= width
+    draw *= _box_width(F) if width is None else width
     draw += F.lower
     return draw
+
+
+def _skip(rng: np.random.Generator, doubles: int) -> None:
+    """Move ``rng`` past ``doubles`` uniform doubles without drawing them.
+
+    `Generator.random` reads one step of its PCG64 stream per double, so
+    the stream's `advance` by that many steps lands where the draw would.
+    """
+    rng.bit_generator.advance(doubles)
 
 
 def mixed_monotone_check(F: CoupledMap, sample_count: int, rng_seed: int) -> MonotoneReport:
@@ -363,13 +396,14 @@ def mixed_monotone_check(F: CoupledMap, sample_count: int, rng_seed: int) -> Mon
     """
     _positive_int(sample_count, "sample_count must be >= 1, got {!r}")
     rng = np.random.default_rng(rng_seed)
-    # One block draw so the stream layout is fixed regardless of evaluation
-    # order.
-    draws = _uniform_in_box(F, rng, (sample_count, 6, F.dim))
     excess_first = np.empty(sample_count)
     excess_second = np.empty(sample_count)
+    # The stream is sample-major, (sample_count, 6, dim) doubles, so each
+    # block's draw reads on where the last one stopped; only the per-sample
+    # excesses are kept.
     for lo, hi in _sample_blocks(sample_count, F.dim, 4):
-        p, q, y_fix, x_fix, r, s = (draws[lo:hi, j] for j in range(6))
+        draws = _uniform_in_box(F, rng, (hi - lo, 6, F.dim))
+        p, q, y_fix, x_fix, r, s = (draws[:, j] for j in range(6))
         x1, x2 = np.minimum(p, q), np.maximum(p, q)
         y1, y2 = np.minimum(r, s), np.maximum(r, s)
         f1, f2, g2, g1 = _images(F, [(x1, y_fix), (x2, y_fix), (x_fix, y2), (x_fix, y1)])
@@ -383,7 +417,10 @@ def mixed_monotone_check(F: CoupledMap, sample_count: int, rng_seed: int) -> Mon
     k = int(np.argmax(excess))
     if excess[k] <= 0:
         return MonotoneReport(sample_count, violations, 0.0, None, rng_seed)
-    p, q, y_fix, x_fix, r, s = draws[k].copy()
+    # Draw sample k again from a fresh stream.
+    rng = np.random.default_rng(rng_seed)
+    _skip(rng, k * 6 * F.dim)
+    p, q, y_fix, x_fix, r, s = _uniform_in_box(F, rng, (6, F.dim))
     first = excess_first[k] >= excess_second[k]
     kind = "first-argument" if first else "second-argument"
     u, v, other = (p, q, y_fix) if first else (r, s, x_fix)

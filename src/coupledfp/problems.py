@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping
 
 import numpy as np
@@ -100,7 +99,7 @@ def affine_demo() -> ProblemSpec:
         lower=[-4.0],
         upper=[4.0],
     )
-    value = float(Fraction(12, 11))
+    value = 12 / 11
     return ProblemSpec(
         name="affine_demo",
         space=space,

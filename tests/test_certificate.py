@@ -152,8 +152,8 @@ class TestDirected:
         assert (-1.0, 1.0) in [(s.a.first[0], s.a.second[0]) for s in got]
         assert len(want.parts) == len(got.parts) == 1
         for w, g in zip(
-            (*want.parts[0], want.image_distance, want.rational_term, want.distance_sum),
-            (*got.parts[0], got.image_distance, got.rational_term, got.distance_sum),
+            (*want.parts[0].rows(), want.image_distance, want.rational_term, want.distance_sum),
+            (*got.parts[0].rows(), got.image_distance, got.rational_term, got.distance_sum),
         ):
             assert w.tobytes() == g.tobytes()
         params = ContractionParams(0.1, 0.5)
@@ -201,6 +201,21 @@ class TestCertify:
         assert report.violations == 0
         assert report.worst_margin is None
         assert report.min_margin_pair is None
+
+    def test_nan_margin_is_a_violation(self, linear):
+        # two diagonal pairs with margin 0; a NaN term makes the second NaN
+        still = (Pair([0.5], [0.5]), Pair([0.5], [0.5]))
+        samples = explicit_pairs(linear.space, linear.map, [still, still])
+        term = samples.rational_term.copy()
+        term[1] = np.nan
+        report = evaluate_samples(
+            ContractionParams(0.1, 0.5),
+            SampleSet(samples.parts, samples.image_distance, term, samples.distance_sum),
+        )
+        assert report.violations == 1
+        assert report.falsified
+        assert math.isnan(report.worst_margin)
+        assert math.isnan(report.min_margin_pair.rational_term)
 
     def test_worst_margin_monotone_in_params(self, linear):
         samples = sample_comparable_pairs(linear.space, linear.map, 2_000, 5)

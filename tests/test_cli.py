@@ -440,6 +440,31 @@ class TestBoxWiderThanTheLargestFloat:
         assert code == 0 and err == ""
 
 
+class TestDistancesOverflowAcrossTheBox:
+    # The width 2e300 is a float, but its euclidean norm squares it to inf.
+    CONFIG = {
+        "dim": 1,
+        "components_F": ["0.5*x1"],
+        "domain_box": [-1e300, 1e300],
+        "metric": "euclidean",
+        "seed": {"x0": [0], "y0": [1]},
+    }
+
+    @pytest.mark.parametrize(
+        "command",
+        [["certify", "--alpha", "0.1", "--beta", "0.4"], ["estimate"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_certify_and_estimate_exit_one(self, capsys, tmp_path, command):
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(self.CONFIG))
+        code, out, err = run_cli(capsys, *command, "--config", str(path), "--samples", "50")
+        assert code == 1 and out == ""
+        assert err.startswith("error: distances across the domain box of map ")
+        assert "overflow in the euclidean metric" in err
+        assert err.count("\n") == 1
+
+
 class TestDeepExpressions:
     # An expression of depth d in MAX_DEPTH's levels; "x1/2" is 2 deep.
     SHAPES = {

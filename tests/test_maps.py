@@ -416,7 +416,8 @@ def pair_offsets(F, size):
     """`sample_comparable_pairs`' four stacks and its formula on `rng.uniform`."""
     shape = (size[0], F.dim)
     # The max metric: a euclidean distance on the huge box overflows to inf.
-    (got,) = sample_comparable_pairs(SpaceDescriptor(F.dim, "max"), F, size[0], 7).parts
+    (family,) = sample_comparable_pairs(SpaceDescriptor(F.dim, "max"), F, size[0], 7).parts
+    got = family.rows()
     rng = np.random.default_rng(7)
     b_first = rng.uniform(F.lower, F.upper, size=shape)
     b_second = rng.uniform(F.lower, F.upper, size=shape)
