@@ -21,7 +21,7 @@ import numpy as np
 from .certificate import certify_region, estimate_params, sample_comparable_pairs
 from .errors import CoupledFPError, DivergenceError, InputError
 from .iteration import IterationConfig, iterate, uniqueness_probe
-from .maps import ContractionParams, _uniform_in_box, mixed_monotone_check
+from .maps import ContractionParams, _box_width, _uniform_in_box, mixed_monotone_check
 from .problems import BUILTINS, ProblemSpec, get_builtin, load_problem
 from .spaces import Pair
 
@@ -217,7 +217,8 @@ def _cmd_probe_uniqueness(args):
     extra = args.samples - 1
     if extra:
         rng = np.random.default_rng(args.rng_seed)
-        draws = _uniform_in_box(problem.map, rng, (extra, 2, problem.space.dim))
+        width = _box_width(problem.map, problem.space)  # limits are compared by distance
+        draws = _uniform_in_box(problem.map, rng, (extra, 2, problem.space.dim), width)
         seeds.extend(Pair(row[0], row[1]) for row in draws)
     report = uniqueness_probe(problem.space, problem.map, seeds, config)
     payload = {

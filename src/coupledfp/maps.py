@@ -227,13 +227,29 @@ def margin_terms(
         d_xu = row_distances(space, xs, us)
         d_yv = row_distances(space, ys, vs)
         denom = 2.0 + d_xu + d_yv
-        rational_term[lo:hi] = np.minimum(
-            disp_x * (2.0 + disp_u + disp_v) / denom,
-            disp_u * (2.0 + disp_x + disp_y) / denom,
-        )
+        rational_term[lo:hi] = _rational_term(disp_x, disp_y, disp_u, disp_v, denom)
         image_distance[lo:hi] = row_distances(space, f_xy, f_uv)
         distance_sum[lo:hi] = d_xu + d_yv
     return image_distance, rational_term, distance_sum
+
+
+def _rational_term(disp_x, disp_y, disp_u, disp_v, denom) -> np.ndarray:
+    """The rational term at each row: the smaller of
+    ``disp_x * (2 + disp_u + disp_v) / denom`` and
+    ``disp_u * (2 + disp_x + disp_y) / denom``. On the rows where a product
+    overflows (distances near 1e154 or more, as on a box that wide in the max
+    or l1 metric) that side divides first, so that a finite term stays finite.
+    """
+    sides = []
+    with np.errstate(over="ignore"):
+        for disp, weight in ((disp_x, 2.0 + disp_u + disp_v), (disp_u, 2.0 + disp_x + disp_y)):
+            product = disp * weight
+            side = product / denom
+            wide = np.isinf(product)
+            if wide.any():
+                side[wide] = disp[wide] / denom[wide] * weight[wide]
+            sides.append(side)
+    return np.minimum(*sides)
 
 
 def _one_row(F: CoupledMap, a: Pair, b: Pair) -> list[np.ndarray]:

@@ -29,6 +29,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def program_env(**variables):
+    """The environment with ``variables`` set and this checkout's `src` first on PYTHONPATH."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, **variables)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestSolve:
     def test_linear_converges_exit_zero(self, capsys):
         code, out, _ = run_cli(
@@ -452,7 +460,7 @@ class TestDistancesOverflowAcrossTheBox:
 
     @pytest.mark.parametrize(
         "command",
-        [["certify", "--alpha", "0.1", "--beta", "0.4"], ["estimate"]],
+        [["certify", "--alpha", "0.1", "--beta", "0.4"], ["estimate"], ["probe-uniqueness"]],
         ids=lambda argv: argv[0],
     )
     def test_certify_and_estimate_exit_one(self, capsys, tmp_path, command):
@@ -463,6 +471,37 @@ class TestDistancesOverflowAcrossTheBox:
         assert err.startswith("error: distances across the domain box of map ")
         assert "overflow in the euclidean metric" in err
         assert err.count("\n") == 1
+
+
+class TestRationalTermOnAWideBox:
+    # In the max metric distances across [-1e300, 1e300] are finite, but the
+    # rational term's product of two of them is not; its quotient is.
+    CONFIG = {**TestDistancesOverflowAcrossTheBox.CONFIG, "metric": "max"}
+
+    def run(self, capsys, tmp_path, scale, *command):
+        config = dict(self.CONFIG, domain_box=[-scale, scale])
+        path = tmp_path / f"box{scale:g}.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, *command, "--config", str(path), "--samples", "50", "--json")
+        assert err == ""
+        return code, json.loads(out)
+
+    @pytest.mark.filterwarnings("error")
+    def test_certify_scores_the_finite_quotient(self, capsys, tmp_path):
+        # the map is linear, so a box 1e200 times narrower scores the same
+        argv = ["certify", "--alpha", "0.1", "--beta", "0.4"]
+        code, wide = self.run(capsys, tmp_path, 1e300, *argv)
+        _, narrow = self.run(capsys, tmp_path, 1e100, *argv)
+        assert code == 2 and wide["violations"] == narrow["violations"] > 0
+        for key in ("rational_term", "image_distance", "distance_sum"):
+            got = wide["min_margin_pair"][key]
+            assert got == pytest.approx(narrow["min_margin_pair"][key] * 1e200, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_estimate_is_not_fooled_by_infinite_terms(self, capsys, tmp_path):
+        code, wide = self.run(capsys, tmp_path, 1e300, "estimate")
+        _, narrow = self.run(capsys, tmp_path, 1e100, "estimate")
+        assert code == 0 and wide["ratio"] == pytest.approx(narrow["ratio"], rel=1e-9)
 
 
 class TestDeepExpressions:
@@ -500,16 +539,31 @@ class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["coupledfp", "coupledfp.cli"])
     def test_python_m_matches_in_process(self, capsys, module):
         code, out, _ = run_cli(capsys, *self.ARGV)
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", module, *self.ARGV],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=program_env(), timeout=120,
         )
         assert code == 2
         assert proc.returncode == 2
         assert proc.stdout == out
+
+
+class TestBlasThreadCount:
+    # `integral_demo`'s kernel product is a BLAS matrix-vector product. At
+    # N = 1500 one and two OpenBLAS threads round it differently; at these
+    # sizes they agree, and so must every printed digit.
+    @pytest.mark.parametrize("config", ["integral_16.json", "integral_1024.json"])
+    def test_certify_output_does_not_depend_on_it(self, config):
+        argv = [sys.executable, "-m", "coupledfp", "certify", "--samples", "20",
+                "--config", os.path.join(DATA, "configs", config)]
+        runs = [
+            subprocess.Popen(argv, stdout=subprocess.PIPE, text=True,
+                             env=program_env(OPENBLAS_NUM_THREADS=threads))
+            for threads in ("1", "2")
+        ]
+        outs = [proc.communicate(timeout=120)[0] for proc in runs]
+        assert [proc.returncode for proc in runs] == [0, 0]
+        assert outs[0] == outs[1] and "violations: 0" in outs[0]
 
 
 class TestThreadsVariable:

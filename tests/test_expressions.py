@@ -3,6 +3,9 @@ import math
 import os
 import re
 import string
+from collections import Counter
+from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,15 +29,16 @@ from coupledfp.expressions import (
     Expression,
     FunctionCall,
     Literal,
+    MAX_DEPTH,
     Negate,
     Variable,
     WALK_ROWS,
     _GuardTripped,
-    _Token,
     _tokenize,
     evaluate_components,
 )
 from coupledfp.maps import BLOCK_FLOATS
+from coupledfp import expressions as language
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "data", "configs")
 NODES = (Literal, Variable, Negate, BinaryOp, FunctionCall)
@@ -348,7 +352,8 @@ class TestWorkCounts:
 # --- references ---------------------------------------------------------------
 # Node evaluation and the tokenizer as they were written before every node
 # had one `_eval`: a tree walk and a column pass per node class, and one
-# branch per token kind. The current code must agree with them bit for bit.
+# branch per token kind; the parser as it was before it climbed precedence
+# over tuple tokens. The current code must agree with them bit for bit.
 
 
 def reference_eval(node, x, y):
@@ -432,6 +437,14 @@ def reference_eval_rows(node, X, Y):
     return np.abs(t)
 
 
+class _Token(NamedTuple):
+    """A token as `_tokenize` gives it: a (kind, text, offset) tuple."""
+
+    kind: str  # NUMBER IDENT OP LPAREN RPAREN EOF
+    text: str
+    pos: int
+
+
 _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -470,6 +483,109 @@ def reference_tokenize(text):
         raise ExpressionError(f"unexpected character {ch!r}", i)
     tokens.append(_Token("EOF", "", n))
     return tokens
+
+
+class ReferenceParser:
+    """Recursive descent with one method per grammar rule, on `_Token`s.
+
+    It reads `MAX_DEPTH` from the module when it checks, so that a test can
+    lower the limit for both parsers at once.
+    """
+
+    LEVELS = ("+-", "*/")
+
+    def __init__(self, text, dim):
+        self.tokens = reference_tokenize(text)
+        self.dim = dim
+        self.k = 0
+        self.open_groups = 0
+
+    def peek(self):
+        return self.tokens[self.k]
+
+    def advance(self):
+        tok = self.tokens[self.k]
+        self.k += 1
+        return tok
+
+    def parse(self):
+        node, _ = self.expr()
+        tail = self.peek()
+        if tail.kind != "EOF":
+            raise ExpressionError(f"unexpected token {tail.text!r}", tail.pos)
+        return node
+
+    @staticmethod
+    def check(depth, tok):
+        limit = language.MAX_DEPTH
+        if depth > limit:
+            raise ExpressionError(f"expression nests deeper than {limit} levels", tok.pos)
+
+    def built(self, node, depth, tok):
+        self.check(depth, tok)
+        return node, depth
+
+    def enter(self, tok):
+        self.open_groups += 1
+        self.check(self.open_groups + 1, tok)
+
+    def expr(self, level=0):
+        inner = level + 1 < len(self.LEVELS)
+        node, depth = self.expr(level + 1) if inner else self.factor()
+        while self.peek().kind == "OP" and self.peek().text in self.LEVELS[level]:
+            tok = self.advance()
+            right, right_depth = self.expr(level + 1) if inner else self.factor()
+            node, depth = self.built(
+                BinaryOp(tok.text, node, right), 1 + max(depth, right_depth), tok
+            )
+        return node, depth
+
+    def factor(self):
+        tok = self.peek()
+        if tok.kind == "OP" and tok.text == "-":
+            self.advance()
+            self.enter(tok)
+            operand, depth = self.factor()
+            self.open_groups -= 1
+            return self.built(Negate(operand), depth + 1, tok)
+        return self.atom()
+
+    def atom(self):
+        tok = self.advance()
+        if tok.kind == "NUMBER":
+            return Literal(float(tok.text)), 1
+        if tok.kind == "IDENT" and tok.text not in FUNCTIONS:
+            return self.variable(tok), 1
+        if tok.kind == "IDENT":
+            opener = self.advance()
+            if opener.kind != "LPAREN":
+                raise ExpressionError(
+                    f"function {tok.text!r} needs a parenthesized argument", opener.pos
+                )
+        elif tok.kind == "EOF":
+            raise ExpressionError("unexpected end of input", tok.pos)
+        elif tok.kind != "LPAREN":
+            raise ExpressionError(f"unexpected token {tok.text!r}", tok.pos)
+        self.enter(tok)
+        node, depth = self.expr()
+        self.open_groups -= 1
+        closing = self.advance()
+        if closing.kind != "RPAREN":
+            raise ExpressionError("expected ')'", closing.pos)
+        if tok.kind == "IDENT":
+            node = FunctionCall(tok.text, node)
+        return self.built(node, depth + 1, tok)
+
+    def variable(self, tok):
+        m = re.match(r"([xy])([0-9]+)\Z", tok.text)
+        if m:
+            index = int(m.group(2))
+            if not 1 <= index <= self.dim:
+                raise ExpressionError(
+                    f"unknown variable {tok.text!r} (indices run 1..{self.dim})", tok.pos
+                )
+            return Variable(m.group(1), index)
+        raise ExpressionError(f"unknown identifier {tok.text!r}", tok.pos)
 
 
 def outcome(evaluate, *args):
@@ -515,3 +631,81 @@ class TestReferences:
                 return str(exc), exc.position
 
         assert tokens(_tokenize) == tokens(reference_tokenize)
+
+
+def parsed(parse, text, dim=2):
+    """The tree, or the ExpressionError's message and offset."""
+    try:
+        return parse(text, dim)
+    except ExpressionError as exc:
+        return str(exc), exc.position
+
+
+def parses_as_the_reference(text, limit=MAX_DEPTH):
+    """Whether both parsers give the same outcome with MAX_DEPTH set to ``limit``."""
+    with mock.patch.object(language, "MAX_DEPTH", limit):
+        got = parsed(parse_expression, text)
+        want = parsed(lambda t, d: ReferenceParser(t, d).parse(), text)
+    return got == want
+
+
+# Small limits put the depth checks within reach of short text.
+LIMITS = st.sampled_from([1, 2, 3, 4, 6, MAX_DEPTH])
+# Pieces that make nested, deep and broken text often.
+PIECES = ["x1", "y2", "x3", "2", "0.5", " ", "-", "+", "*", "/", "(", ")", "exp(", "ln", "abs("]
+
+
+class TestParserMatchesTheReference:
+    @settings(max_examples=1000, deadline=None)
+    @given(st.text(alphabet=TestReferences.ALPHABET, max_size=30), LIMITS)
+    def test_text_over_the_tokenizer_alphabet(self, text, limit):
+        assert parses_as_the_reference(text, limit)
+
+    @settings(max_examples=500, deadline=None)
+    @given(expressions(ops="+-*/", functions=FUNCTIONS), LIMITS)
+    def test_printed_trees(self, expr, limit):
+        assert parses_as_the_reference(str(expr), limit)
+        assert parse_expression(str(expr), 2) == expr
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(st.sampled_from(PIECES), max_size=30).map("".join), LIMITS)
+    def test_text_from_pieces(self, text, limit):
+        assert parses_as_the_reference(text, limit)
+
+    # Text d levels deep, for d around the limit.
+    SHAPES = {
+        "parentheses": lambda d: "(" * (d - 1) + "x1" + ")" * (d - 1),
+        "calls": lambda d: "exp(" * (d - 1) + "x1" + ")" * (d - 1),
+        "minus signs": lambda d: "-" * (d - 1) + "x1",
+        "sum": lambda d: "+".join(["x1"] * d),
+        "product": lambda d: "*".join(["x1"] * d),
+        "right-nested": lambda d: "x1-(" * ((d - 1) // 2) + "x1" + ")" * ((d - 1) // 2),
+        "mixed": lambda d: "-(" * ((d - 1) // 2) + "x1*y2" + ")" * ((d - 1) // 2),
+        "unclosed": lambda d: "(" * (d - 1) + "x1",
+    }
+
+    @pytest.mark.parametrize("offset", [-2, -1, 0, 1, 2])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_text_near_the_depth_limit(self, shape, offset):
+        assert parses_as_the_reference(self.SHAPES[shape](MAX_DEPTH + offset))
+
+
+class TestCompileOnce:
+    def test_each_node_compiles_at_most_once_per_operation_set(self, monkeypatch):
+        compiled = Counter()
+        for cls in NODES:
+            def counted(self, ops, compile_=cls._compile):
+                compiled[id(self), ops.name] += 1
+                return compile_(self, ops)
+
+            monkeypatch.setattr(cls, "_compile", counted)
+        with open(os.path.join(CONFIGS, "expr_4d.json"), encoding="utf-8") as fh:
+            exprs = [parse_expression(c, 4) for c in json.load(fh)["components_F"]]
+        rng = np.random.default_rng(5)
+        for rows in (2, 1600):
+            X, Y = rng.uniform(0.0, 2.0, (2, rows, 4))
+            for _ in range(50):
+                evaluate_components(exprs, X, Y)
+        assert set(compiled.values()) == {1}
+        for e in exprs:
+            assert compiled[id(e), "_walk"] == compiled[id(e), "_columns"] == 1
