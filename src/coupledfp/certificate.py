@@ -28,7 +28,7 @@ from .errors import DomainError, InputError
 from .maps import (
     ContractionParams,
     CoupledMap,
-    _box_width,
+    _pair_width,
     _sample_blocks,
     _skip,
     _uniform_in_box,
@@ -80,7 +80,7 @@ class _HeldFamily:
     def __len__(self) -> int:
         return len(self.stacks[0])
 
-    def rows(self, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, ...]:
+    def rows(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
         """(a_first, a_second, b_first, b_second) of rows [lo, hi), as views."""
         return tuple(stack[lo:hi] for stack in self.stacks)
 
@@ -99,15 +99,14 @@ class _UniformFamily:
         self.F = F
         self.count = count
         self.rng_seed = rng_seed
-        self.width = width  # the box's checked `_box_width`
+        self.width = width  # the box's checked `_pair_width`
 
     def __len__(self) -> int:
         return self.count
 
-    def rows(self, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, ...]:
+    def rows(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
         """(a_first, a_second, b_first, b_second) of rows [lo, hi), drawn again."""
         F, width = self.F, self.width
-        hi = self.count if hi is None else hi
         shape = (hi - lo, F.dim)
         rng = np.random.default_rng(self.rng_seed)
         # from the end of rows [lo, hi) of one stack to their start in the next
@@ -224,9 +223,9 @@ def sample_comparable_pairs(
     """
     _positive_int(count, "count must be >= 0, got {!r}", minimum=0)
     _check_dims(space, F.lower)  # as margin_terms does, also for a count of 0
-    family = _UniformFamily(F, count, rng_seed, _box_width(F, space))
+    family = _UniformFamily(F, count, rng_seed, _pair_width(space, F))
     terms = np.empty((3, count))
-    for lo, hi in _sample_blocks(count, F.dim, 4):
+    for lo, hi in _sample_blocks(count, F.dim):
         terms[:, lo:hi] = margin_terms(space, F, *family.rows(lo, hi))
     return SampleSet((family,) if count else (), *terms)
 
@@ -241,7 +240,9 @@ def directed_pairs(space: SpaceDescriptor, F: CoupledMap) -> SampleSet:
     (bottom, top), whose rational term shrinks with the displacement.
     Non-comparable candidates, and walk pairs whose new point left the box,
     are silently skipped; the walk stops at its first point outside the box.
+    A box too wide for pairs of pairs (`_pair_width`) raises InputError.
     """
+    _pair_width(space, F)
     lo, hi = F.lower, F.upper
     mid = 0.5 * (lo + hi)
     # (a_first, a_second, b_first, b_second) per candidate

@@ -13,7 +13,9 @@ the monotone chain structure, and probes uniqueness from several seeds.
 There is one iteration loop, `_run`, which steps a stack of seeds with one
 `CoupledMap.evaluate_rows` call per step. `iterate` (and so `solve`) is its
 one-seed run; `uniqueness_probe` runs it on all seeds at once, so each probe
-run equals `iterate` from its seed alone, float for float.
+run equals `iterate` from its seed alone, float for float. Iterates are
+checked against the map's padded box (`CoupledMap`), so they may drift past
+the strict domain box before divergence is called.
 """
 
 from __future__ import annotations
@@ -37,10 +39,6 @@ from .spaces import (
     rows_leq,
     rows_product_leq,
 )
-
-# Iterates may drift past the strict domain box before divergence is called;
-# the box is inflated by this factor about its center for the escape check.
-DIVERGENCE_PADDING = 2.0
 
 
 @dataclass(frozen=True)
@@ -155,7 +153,6 @@ def verify_coupled_fixed_point(
     F: CoupledMap,
     pair: Pair,
     tol: float,
-    padding: float = 1.0,
 ) -> tuple[bool, float]:
     """Residual max(d(F(x,y), x), d(F(y,x), y)) and whether it is <= tol.
 
@@ -164,7 +161,7 @@ def verify_coupled_fixed_point(
     """
     _check_dims(space, F.lower)
     xyx = np.stack((pair.first, pair.second, pair.first))
-    img = F.evaluate_rows(xyx[:2], xyx[1:], padding)
+    img = F.evaluate_rows(xyx[:2], xyx[1:])
     residual = float(row_distances(space, img, xyx[:2]).max())
     return residual <= tol, residual
 
@@ -183,14 +180,14 @@ def _step_images(F: CoupledMap, live: np.ndarray, xyx: np.ndarray, errors: list,
     """
     m = len(live)
     try:
-        return live, xyx, F.evaluate_rows(xyx[: 2 * m], xyx[m:], DIVERGENCE_PADDING)
+        return live, xyx, F.evaluate_rows(xyx[: 2 * m], xyx[m:], padded=True)
     except DomainError:
         pass
     img = np.empty((2, m, F.dim))
     kept = np.ones(m, dtype=bool)
     for k in range(m):
         try:
-            img[:, k] = F.evaluate_rows(xyx[[k, m + k]], xyx[[m + k, k]], DIVERGENCE_PADDING)
+            img[:, k] = F.evaluate_rows(xyx[[k, m + k]], xyx[[m + k, k]], padded=True)
         except DomainError as exc:
             error = DivergenceError(f"{what} escaped the padded domain box: {exc}")
             error.__cause__ = exc

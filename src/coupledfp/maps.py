@@ -72,9 +72,12 @@ class ContractionParams:
         """Slack of the rational contraction inequality; >= 0 where it holds.
 
         alpha * rational_term + (beta / 2) * distance_sum - image_distance,
-        for floats or for arrays of them (see `margin_terms`).
+        for floats or for arrays of them (see `margin_terms`). At alpha = 0
+        the rational part is 0, also where the term is infinite (its quotient
+        overflowed) and 0 * inf would make the margin NaN.
         """
-        return self.alpha * rational_term + 0.5 * self.beta * distance_sum - image_distance
+        rational = self.alpha * rational_term if self.alpha else 0.0
+        return rational + 0.5 * self.beta * distance_sum - image_distance
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +88,11 @@ class CoupledMap:
     (n, dim) stack of images, row k equal bit for bit to the image of row k
     evaluated alone; it must be total and deterministic on the box. The box
     is the region on which the map's hypotheses (monotonicity, contraction)
-    are claimed; evaluation outside it raises :class:`DomainError`.
+    are claimed; evaluation outside it raises :class:`DomainError`. The
+    iteration checks its iterates against the padded box instead, the box
+    with each side moved out by half its width, so that they may drift past
+    the strict box before divergence is called. Both boxes are fixed when
+    the map is built.
 
     `evaluate_rows` makes one evaluator call per stack, and `evaluate` is
     its one-row call. The evaluator may hand back one output buffer of its
@@ -101,8 +108,8 @@ class CoupledMap:
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     lower: np.ndarray
     upper: np.ndarray
-    # Padded boxes by padding, filled in by `_bounds`.
-    _padded: dict = field(default_factory=dict, init=False, repr=False)
+    # (lower, upper) of the padded box, set by __post_init__.
+    _padded: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         _positive_int(self.dim, "dim must be a positive integer, got {!r}")
@@ -112,22 +119,13 @@ class CoupledMap:
             raise InputError(f"empty domain box for map {self.name!r}: lower > upper")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-        # the box itself, also where its width overflows to inf
-        self._padded[1.0] = (lower, upper)
+        with np.errstate(over="ignore"):  # a box wider than the largest float
+            grow = 0.5 * (upper - lower)
+        object.__setattr__(self, "_padded", (lower - grow, upper + grow))
 
     def contains(self, p: np.ndarray) -> bool:
         """Whether p lies in the domain box, ``lower <= p <= upper``."""
         return bool(np.all(p >= self.lower) and np.all(p <= self.upper))
-
-    def _bounds(self, padding: float) -> tuple[np.ndarray, np.ndarray]:
-        """Corners of the box with each side moved out by (padding - 1) / 2 of
-        its width (``lower`` and ``upper`` at padding 1), computed once."""
-        bounds = self._padded.get(padding)
-        if bounds is None:
-            with np.errstate(over="ignore"):  # a box wider than the largest float
-                grow = 0.5 * (padding - 1.0) * (self.upper - self.lower)
-            bounds = self._padded[padding] = (self.lower - grow, self.upper + grow)
-        return bounds
 
     def _evaluate_stack(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """One evaluator call on in-box rows, with its images checked."""
@@ -143,17 +141,17 @@ class CoupledMap:
             raise DomainError(f"map {self.name!r} returned non-finite values: {bad!r}")
         return out
 
-    def evaluate(self, x, y, padding: float = 1.0) -> np.ndarray:
+    def evaluate(self, x, y) -> np.ndarray:
         """Apply the map to one row: the one-row call of `evaluate_rows`."""
         x = as_point(x, dim=self.dim)
         y = as_point(y, dim=self.dim)
-        return self.evaluate_rows(x[None], y[None], padding)[0]
+        return self.evaluate_rows(x[None], y[None])[0]
 
-    def evaluate_rows(self, X, Y, padding: float = 1.0) -> np.ndarray:
+    def evaluate_rows(self, X, Y, padded: bool = False) -> np.ndarray:
         """F(X[k], Y[k]) for each row k of two (n, dim) stacks, as a stack.
 
-        Checks that every argument is finite and in the box inflated by
-        ``padding``, and that every image has the stack's shape and is
+        Checks that every argument is finite and in the box (the padded box
+        when ``padded``), and that every image has the stack's shape and is
         finite. A failure names the first bad row, with the message a
         one-row call on that row gives: its first argument that is not
         finite (InputError), else its first argument outside the box
@@ -165,7 +163,7 @@ class CoupledMap:
             raise DimensionMismatchError(
                 f"expected two (n, {self.dim}) stacks, got {X.shape} and {Y.shape}"
             )
-        lo, hi = self._bounds(padding)
+        lo, hi = self._padded if padded else (self.lower, self.upper)
         # Both stacks are checked whole and at once (np.minimum and np.maximum
         # propagate NaN, so a NaN argument fails here too); row masks are
         # built only to name the first bad row.
@@ -179,9 +177,9 @@ class CoupledMap:
         raise DomainError(f"input {outside.tolist()} outside the domain box of {self.name!r}")
 
 
-def _sample_blocks(n: int, dim: int, images: int):
-    """[lo, hi) sample ranges whose ``images`` rows per sample fit in BLOCK_FLOATS."""
-    step = max(1, BLOCK_FLOATS // (dim * images))
+def _sample_blocks(n: int, dim: int):
+    """[lo, hi) sample ranges whose four image rows per sample fit in BLOCK_FLOATS."""
+    step = max(1, BLOCK_FLOATS // (dim * 4))
     return ((lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
@@ -217,7 +215,7 @@ def margin_terms(
     _check_dims(space, F.lower)
     n = len(x)
     image_distance, rational_term, distance_sum = np.empty(n), np.empty(n), np.empty(n)
-    for lo, hi in _sample_blocks(n, F.dim, 4):
+    for lo, hi in _sample_blocks(n, F.dim):
         xs, ys, us, vs = x[lo:hi], y[lo:hi], u[lo:hi], v[lo:hi]
         f_xy, f_uv, f_yx, f_vu = _images(F, [(xs, ys), (us, vs), (ys, xs), (vs, us)])
         disp_x = row_distances(space, xs, f_xy)
@@ -376,19 +374,39 @@ def _box_width(F: CoupledMap, space: SpaceDescriptor | None = None) -> np.ndarra
     return width
 
 
+def _pair_width(space: SpaceDescriptor, F: CoupledMap) -> np.ndarray:
+    """`_box_width` with ``space``, checked also for building pairs of pairs.
+
+    InputError where an edge moved out by the width overflows (a uniform
+    pair adds its offset before it clips to the box), or where twice the
+    distance across the box does (the distance sums and denominators of
+    `margin_terms` reach that far): the margins would come out of
+    overflowed floats.
+    """
+    width = _box_width(F, space)
+    with np.errstate(over="ignore"):
+        across = 2.0 * row_distances(space, F.upper[None], F.lower[None])
+        reach = np.concatenate((F.upper + width, F.lower - width, across))
+    if not np.isfinite(reach).all():
+        raise InputError(
+            f"domain box of map {F.name!r} is too wide to build pairs on: its edges "
+            f"moved out by its width, or twice the distance across it in the "
+            f"{space.metric} metric, overflow"
+        )
+    return width
+
+
 def _uniform_in_box(
-    F: CoupledMap, rng: np.random.Generator, size, width: np.ndarray | None = None
+    F: CoupledMap, rng: np.random.Generator, size, width: np.ndarray
 ) -> np.ndarray:
     """``rng.uniform`` over the map's domain box, the one draw of every sampler.
 
     Element for element ``rng.uniform(lower, upper, size)``, which computes
     ``lower + (upper - lower) * rng.random()``, in place on one buffer.
-    ``width`` is the box's `_box_width`, which a caller drawing many times
-    checks once; without it the check runs here, and raises InputError when
-    a side of the box is wider than the largest float.
+    ``width`` is the box's `_box_width`, checked once by the caller.
     """
     draw = rng.random(size)
-    draw *= _box_width(F) if width is None else width
+    draw *= width
     draw += F.lower
     return draw
 
@@ -412,13 +430,14 @@ def mixed_monotone_check(F: CoupledMap, sample_count: int, rng_seed: int) -> Mon
     """
     _positive_int(sample_count, "sample_count must be >= 1, got {!r}")
     rng = np.random.default_rng(rng_seed)
+    width = _box_width(F)
     excess_first = np.empty(sample_count)
     excess_second = np.empty(sample_count)
     # The stream is sample-major, (sample_count, 6, dim) doubles, so each
     # block's draw reads on where the last one stopped; only the per-sample
     # excesses are kept.
-    for lo, hi in _sample_blocks(sample_count, F.dim, 4):
-        draws = _uniform_in_box(F, rng, (hi - lo, 6, F.dim))
+    for lo, hi in _sample_blocks(sample_count, F.dim):
+        draws = _uniform_in_box(F, rng, (hi - lo, 6, F.dim), width)
         p, q, y_fix, x_fix, r, s = (draws[:, j] for j in range(6))
         x1, x2 = np.minimum(p, q), np.maximum(p, q)
         y1, y2 = np.minimum(r, s), np.maximum(r, s)
@@ -436,7 +455,7 @@ def mixed_monotone_check(F: CoupledMap, sample_count: int, rng_seed: int) -> Mon
     # Draw sample k again from a fresh stream.
     rng = np.random.default_rng(rng_seed)
     _skip(rng, k * 6 * F.dim)
-    p, q, y_fix, x_fix, r, s = _uniform_in_box(F, rng, (6, F.dim))
+    p, q, y_fix, x_fix, r, s = _uniform_in_box(F, rng, (6, F.dim), width)
     first = excess_first[k] >= excess_second[k]
     kind = "first-argument" if first else "second-argument"
     u, v, other = (p, q, y_fix) if first else (r, s, x_fix)

@@ -17,7 +17,7 @@ rational contraction) demonstrably holds:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InputError
 from .expressions import Expression, evaluate_components, parse_expression
 from .maps import ContractionParams, CoupledMap
-from .spaces import METRICS, Pair, SpaceDescriptor, _positive_int, as_point
+from .spaces import Pair, SpaceDescriptor, _positive_int, as_point
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,14 +291,7 @@ def build_problem(config: Mapping) -> ProblemSpec:
             if "params" not in config
             else _parse_params(config["params"])
         )
-        return ProblemSpec(
-            name=spec.name,
-            space=spec.space,
-            map=spec.map,
-            seed=seed,
-            suggested_params=params,
-            expected_fixed_pair=spec.expected_fixed_pair,
-        )
+        return replace(spec, seed=seed, suggested_params=params)
 
     if "components_F" not in config:
         raise InputError("config needs either 'builtin' or 'components_F'")
@@ -310,9 +303,7 @@ def build_problem(config: Mapping) -> ProblemSpec:
         raise InputError(f"components_F must list exactly {dim} expressions")
     exprs: list[Expression] = [parse_expression(str(c), dim) for c in components]
 
-    metric = config.get("metric", "euclidean")
-    if metric not in METRICS:
-        raise InputError(f"unknown metric {metric!r}; choose from {METRICS}")
+    space = SpaceDescriptor(dim=dim, metric=config.get("metric", "euclidean"))
     lower, upper = _parse_box(config.get("domain_box", DEFAULT_BOX), dim)
     if "seed" not in config:
         raise InputError("custom maps need a 'seed' with x0 and y0")
@@ -326,7 +317,7 @@ def build_problem(config: Mapping) -> ProblemSpec:
     params = _parse_params(config["params"]) if "params" in config else None
     return ProblemSpec(
         name=name,
-        space=SpaceDescriptor(dim=dim, metric=metric),
+        space=space,
         map=F,
         seed=seed,
         suggested_params=params,

@@ -18,6 +18,8 @@ from coupledfp.parallel import worker_cap
 DATA = os.path.join(os.path.dirname(__file__), "data")
 BOX_EDGE = os.path.join(DATA, "configs", "box_edge.json")
 DEGENERATE_BOX = os.path.join(DATA, "configs", "degenerate_box.json")
+EXPR_EXPAND = os.path.join(DATA, "configs", "expr_expand.json")
+EXPR_FLIP = os.path.join(DATA, "configs", "expr_flip.json")
 CONFIGS = sorted(glob.glob(os.path.join(DATA, "configs", "*.json")))
 sys.path.insert(0, DATA)
 import make_cli_golden  # noqa: E402
@@ -27,6 +29,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_input_error(capsys, argv, message):
+    """The run exits 1 with one "error:" line that holds ``message``, and no output."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def program_env(**variables):
@@ -133,34 +143,64 @@ class TestSolve:
         assert code == 1
         assert "either" in err
 
+    CUSTOM = {"dim": 1, "components_F": ["0.5*x1"], "seed": {"x0": [0], "y0": [0]}}
+
     @pytest.mark.parametrize(
-        "config",
+        "config, message",
         [
-            {"builtin": "integral_demo", "dim": "16"},
-            {"builtin": "integral_demo", "dim": True},
-            {"dim": True, "components_F": ["x1"], "seed": {"x0": [0.0], "y0": [0.0]}},
-            {"builtin": "linear_demo", "seed": {"x0": ["abc"], "y0": [0.0]}},
-            {
-                "dim": 1,
-                "components_F": ["0.25*x1"],
-                "domain_box": ["a", 1],
-                "seed": {"x0": [0.0], "y0": [0.0]},
-            },
-            {"builtin": "linear_demo", "params": {"alpha": "abc", "beta": 0.5}},
-            {"builtin": "linear_demo", "params": {"alpha": None, "beta": 0.5}},
+            ({"builtin": "integral_demo", "dim": "16"}, "dim must be a positive integer"),
+            ({"builtin": "integral_demo", "dim": True}, "dim must be a positive integer"),
+            (
+                {"dim": True, "components_F": ["x1"], "seed": {"x0": [0.0], "y0": [0.0]}},
+                "dim must be a positive integer",
+            ),
+            (
+                {"builtin": "linear_demo", "seed": {"x0": ["abc"], "y0": [0.0]}},
+                "a point needs numeric coordinates",
+            ),
+            ({**CUSTOM, "domain_box": ["a", 1]}, "domain_box must hold numbers"),
+            (
+                {"builtin": "linear_demo", "params": {"alpha": "abc", "beta": 0.5}},
+                "params alpha and beta must be numbers",
+            ),
+            (
+                {"builtin": "linear_demo", "params": {"alpha": None, "beta": 0.5}},
+                "params alpha and beta must be numbers",
+            ),
+            ({"builtin": "linear_demo", "params": [0.1, 0.5]}, "params must be an object"),
+            ({"builtin": "linear_demo", "params": {"alpha": 0.1}}, "params is missing ['beta']"),
+            ({"builtin": "linear_demo", "seed": [0, 0]}, "seed must be an object"),
+            ({"builtin": "linear_demo", "seed": {"x0": [0]}}, "seed is missing ['y0']"),
+            ({**CUSTOM, "domain_box": [[0, 1, 2]]}, "domain_box must be [lo, hi]"),
+            ({**CUSTOM, "domain_box": [1, -1]}, "domain_box has lower > upper"),
+            ([1, 2], "problem config must be a JSON object"),
+            ({"dim": 1}, "config needs either 'builtin' or 'components_F'"),
+            ({"components_F": ["x1"]}, "custom maps need an explicit 'dim'"),
+            ({**CUSTOM, "metric": "taxicab"}, "unknown metric 'taxicab'"),
+            # the metric is checked before the box
+            ({**CUSTOM, "metric": "taxicab", "domain_box": [1, -1]}, "unknown metric 'taxicab'"),
         ],
         ids=[
             "dim-string", "dim-bool", "custom-dim-bool", "x0-string", "box-string",
-            "alpha-string", "alpha-null",
+            "alpha-string", "alpha-null", "params-not-object", "params-missing-key",
+            "seed-not-object", "seed-missing-key", "box-shape", "box-lower-above-upper",
+            "config-not-object", "no-map", "custom-no-dim", "unknown-metric",
+            "metric-before-box",
         ],
     )
-    def test_malformed_config_exit_one(self, capsys, tmp_path, config):
+    def test_malformed_config_exit_one(self, capsys, tmp_path, config, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
-        code, out, err = run_cli(capsys, "solve", "--config", str(path))
-        assert code == 1
-        assert err.startswith("error: ")
-        assert out == ""
+        assert_input_error(capsys, ["solve", "--config", str(path)], message)
+
+    def test_unreadable_config_exit_one(self, capsys, tmp_path):
+        path = str(tmp_path / "missing.json")
+        assert_input_error(
+            capsys, ["solve", "--config", path], f"cannot read problem config {path!r}"
+        )
+
+    def test_no_problem_exit_one(self, capsys):
+        assert_input_error(capsys, ["solve"], "a problem is required")
 
     def test_alpha_without_beta(self, capsys):
         code, _, err = run_cli(
@@ -205,6 +245,12 @@ class TestCertify:
         _, out1, _ = run_cli(capsys, *argv)
         _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2
+
+
+    def test_config_without_params_exit_one(self, capsys):
+        assert_input_error(
+            capsys, ["certify", "--config", EXPR_EXPAND], "carries no suggested params"
+        )
 
 
 class TestEstimate:
@@ -288,6 +334,21 @@ class TestProbeUniqueness:
         assert doc["all_agree"] is True
         assert doc["bridges_comparable"] is True
         assert len(doc["runs"]) == 2
+
+    def test_diverging_seeds_text(self, capsys):
+        # -2*x1 + 2*y1 sends every drawn seed out of [-1, 1]; only the
+        # problem's own seed (0, 0) converges, so no two limits are compared
+        code, out, err = run_cli(
+            capsys, "probe-uniqueness", "--config", EXPR_FLIP, "--samples", "4", "--rng-seed", "1"
+        )
+        assert code == 2 and err == ""
+        lines = out.splitlines()
+        assert lines[2] == "  seed [0]/[0]: converged"
+        assert [line.endswith(": DIVERGED") for line in lines[3:6]] == [True] * 3
+        assert lines[6:] == [
+            "bridge pairs comparable to both limits: true",
+            "limits DISAGREE (or a run failed)",
+        ]
 
 
 class TestListBuiltins:
@@ -502,6 +563,59 @@ class TestRationalTermOnAWideBox:
         code, wide = self.run(capsys, tmp_path, 1e300, "estimate")
         _, narrow = self.run(capsys, tmp_path, 1e100, "estimate")
         assert code == 0 and wide["ratio"] == pytest.approx(narrow["ratio"], rel=1e-9)
+
+    def test_alpha_zero_ignores_infinite_terms(self, capsys, tmp_path):
+        # at alpha = 0 an infinite term adds 0 to a margin, not 0 * inf = NaN
+        argv = ["certify", "--alpha", "0", "--beta", "0.99"]
+        with pytest.warns(UserWarning) as record:
+            code, doc = self.run(capsys, tmp_path, 1e200, *argv)
+        assert [str(w.message) for w in record] == [
+            "alpha = 0 is the degenerate limit of the contraction hypothesis"
+        ]
+        assert (code, doc["violations"], doc["worst_margin"]) == (0, 0, 0.0)
+
+
+class TestPairsOnABoxNearTheLargestFloat:
+    # The width is a float, but an edge moved out by it, or twice the
+    # distance across the box, is not: pair sampling refuses such a box.
+    def write(self, tmp_path, box, metric):
+        config = dict(TestDistancesOverflowAcrossTheBox.CONFIG, domain_box=box, metric=metric)
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(config))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "box, metric",
+        [([-8e307, 8e307], "max"), ([0, 1e308], "max"), ([-5e307, 5e307], "l1")],
+        ids=["both-edges", "upper-edge", "l1-distance-sum"],
+    )
+    @pytest.mark.parametrize(
+        "command", [["certify", "--alpha", "0.1", "--beta", "0.5"], ["estimate"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_certify_and_estimate_exit_one(self, capsys, tmp_path, box, metric, command):
+        path = self.write(tmp_path, box, metric)
+        argv = [*command, "--config", path, "--samples", "50"]
+        assert_input_error(capsys, argv, "too wide to build pairs on")
+
+    @pytest.mark.parametrize("metric", ["max", "l1"])
+    @pytest.mark.parametrize(
+        "command, want", [(["certify", "--alpha", "0.1", "--beta", "0.5"], 2), (["estimate"], 0)],
+        ids=["certify", "estimate"],
+    )
+    def test_half_that_box_still_samples(self, capsys, tmp_path, metric, command, want):
+        path = self.write(tmp_path, [-4e307, 4e307], metric)
+        code, _, err = run_cli(capsys, *command, "--config", path, "--samples", "50")
+        assert (code, err) == (want, "")
+
+    @pytest.mark.parametrize(
+        "command, want", [(["probe-uniqueness"], 2), (["check-monotone"], 0), (["solve"], 0)],
+        ids=["probe-uniqueness", "check-monotone", "solve"],
+    )
+    def test_other_subcommands_unchanged(self, capsys, tmp_path, command, want):
+        path = self.write(tmp_path, [-8e307, 8e307], "max")
+        code, out, err = run_cli(capsys, *command, "--config", path)
+        assert (code, err) == (want, "") and out
 
 
 class TestDeepExpressions:

@@ -13,6 +13,7 @@ from coupledfp import (
     ContractionParams,
     CoupledFPError,
     CoupledMap,
+    DimensionMismatchError,
     DivergenceError,
     DomainError,
     InputError,
@@ -37,7 +38,7 @@ from coupledfp import (
     uniqueness_probe,
     verify_coupled_fixed_point,
 )
-from coupledfp.iteration import ChainReport, ChainViolation, DIVERGENCE_PADDING, TraceEntry
+from coupledfp.iteration import ChainReport, ChainViolation, TraceEntry
 from coupledfp.spaces import row_distances
 
 PARAMS_LINEAR = ContractionParams(0.1, 0.5)
@@ -52,10 +53,14 @@ def probe_seeds(problem, count, rng_seed=0):
 
 
 def solo_reference(space, F, x0, y0, config=None):
-    """The coupled iteration as a scalar loop on `F.evaluate`, one seed alone.
+    """The coupled iteration as a scalar loop of one-row calls, one seed alone.
 
     An independent reference for `iterate` and for each run of the probe.
     """
+
+    def padded_image(x, y):
+        return F.evaluate_rows(x[None], y[None], padded=True)[0]
+
     config = config or IterationConfig()
     x = as_point(x0, dim=F.dim)
     y = as_point(y0, dim=F.dim)
@@ -70,8 +75,8 @@ def solo_reference(space, F, x0, y0, config=None):
 
     for n in range(config.max_iter):
         try:
-            x_next = F.evaluate(x, y, padding=DIVERGENCE_PADDING)
-            y_next = F.evaluate(y, x, padding=DIVERGENCE_PADDING)
+            x_next = padded_image(x, y)
+            y_next = padded_image(y, x)
         except DomainError as exc:
             raise DivergenceError(f"iteration escaped the padded domain box: {exc}") from exc
         gap_x = distance(space, x_next, x)
@@ -91,9 +96,8 @@ def solo_reference(space, F, x0, y0, config=None):
             break
 
     try:
-        _, residual = verify_coupled_fixed_point(
-            space, F, Pair(x, y), config.tol, padding=DIVERGENCE_PADDING
-        )
+        residual = distance(space, padded_image(x, y), x)
+        residual = max(residual, distance(space, padded_image(y, x), y))
     except DomainError as exc:
         raise DivergenceError(
             f"final iterate escaped the padded domain box: {exc}"
@@ -539,6 +543,11 @@ class TestUniquenessProbe:
         assert report.all_agree
         assert report.max_pairwise_distance <= 1e-9
         assert_joint_bridge(linear.space, report, [r.result.fixed_pair for r in report.runs])
+
+    def test_seed_of_wrong_dimension(self, linear):
+        seeds = [Pair([-1.0], [1.0]), Pair([0.0, 0.0], [1.0, 1.0])]
+        with pytest.raises(DimensionMismatchError, match="expected dimension 1, got 2"):
+            uniqueness_probe(linear.space, linear.map, seeds)
 
     def test_single_seed(self, linear):
         report = uniqueness_probe(

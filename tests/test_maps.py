@@ -8,6 +8,7 @@ from coupledfp import (
     ContractionParams,
     CoupledFPError,
     CoupledMap,
+    DimensionMismatchError,
     DomainError,
     InputError,
     IterationConfig,
@@ -26,7 +27,7 @@ from coupledfp import (
     verify_coupled_fixed_point,
 )
 
-from coupledfp.maps import _uniform_in_box
+from coupledfp.maps import _box_width, _uniform_in_box
 
 SPACE1 = SpaceDescriptor(dim=1)
 CONFIGS = os.path.join(os.path.dirname(__file__), "data", "configs")
@@ -73,6 +74,20 @@ class TestEvalMap:
         with pytest.raises(DomainError):
             linear.map.evaluate([5.0], [0.0])
 
+    def test_evaluator_of_wrong_shape(self):
+        F = CoupledMap("flat", 2, lambda x, y: x[:, 0], [-1.0, -1.0], [1.0, 1.0])
+        with pytest.raises(DomainError, match=r"'flat' returned shape \(3,\), expected \(3, 2\)"):
+            F.evaluate_rows(np.zeros((3, 2)), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize(
+        "X, Y", [(np.zeros(2), np.zeros(2)), (np.zeros((2, 1)), np.zeros((3, 1))),
+                 (np.zeros((2, 2)), np.zeros((2, 2)))],
+        ids=["one-row", "unequal-rows", "wrong-dim"],
+    )
+    def test_stacks_of_wrong_shape(self, linear, X, Y):
+        with pytest.raises(DimensionMismatchError, match=r"expected two \(n, 1\) stacks"):
+            linear.map.evaluate_rows(X, Y)
+
     def test_empty_box_rejected(self):
         with pytest.raises(InputError):
             CoupledMap("bad", 1, lambda x, y: x, lower=[1.0], upper=[0.0])
@@ -85,7 +100,7 @@ class TestEvalMap:
         assert F.evaluate_rows(edges, edges[::-1]).tolist() == [[1.07], [2.29]]
         below = np.nextafter(1.07, 0.0)
         assert not F.contains(np.array([below]))
-        assert F.evaluate_rows(np.array([[below]]), edges[:1], padding=1.5).tolist() == [[below]]
+        assert F.evaluate_rows(np.array([[below]]), edges[:1], padded=True).tolist() == [[below]]
         with pytest.raises(DomainError, match="outside the domain box"):
             F.evaluate_rows(np.array([[below]]), edges[:1])
 
@@ -100,12 +115,19 @@ class TestEvalMap:
 
     def test_padded_edges_match_evaluate(self):
         F = CoupledMap("edge", 1, lambda x, y: x - 0.5 * y, [1.07], [2.29])
-        grow = 0.5 * (2.0 - 1.0) * (2.29 - 1.07)
+        grow = 0.5 * (2.29 - 1.07)
+        lo, hi = 1.07 - grow, 2.29 + grow
         values = [1.0]  # inside the padded box only
-        for edge in (1.07 - grow, 2.29 + grow):
+        for edge in (lo, hi):
             values += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
         rows = np.array([[x, y] for x in values for y in values])
         X, Y = rows[:, :1], rows[:, 1:]
+
+        def expected_outcome(x, y):
+            for p in (x, y):
+                if not lo <= p[0] <= hi:
+                    return f"input {p.tolist()} outside the domain box of 'edge'"
+            return (x - 0.5 * y).tolist()
 
         def outcome(call):
             try:
@@ -113,14 +135,14 @@ class TestEvalMap:
             except DomainError as exc:
                 return str(exc)
 
-        expected = [outcome(lambda: F.evaluate(x, y, padding=2.0)) for x, y in zip(X, Y)]
-        got = [outcome(lambda: F.evaluate_rows(X[k : k + 1], Y[k : k + 1], padding=2.0)[0])
+        expected = [expected_outcome(x, y) for x, y in zip(X, Y)]
+        got = [outcome(lambda: F.evaluate_rows(X[k : k + 1], Y[k : k + 1], padded=True)[0])
                for k in range(len(X))]
         assert got == expected
         assert 0 < sum(isinstance(e, str) for e in expected) < len(expected)
         first_bad = next(e for e in expected if isinstance(e, str))
         with pytest.raises(DomainError) as exc:
-            F.evaluate_rows(X, Y, padding=2.0)
+            F.evaluate_rows(X, Y, padded=True)
         assert str(exc.value) == first_bad
 
 
@@ -408,7 +430,7 @@ class TestMixedMonotone:
 
 def box_draw(F, size):
     """`_uniform_in_box` and `rng.uniform` on one seed."""
-    got = _uniform_in_box(F, np.random.default_rng(7), size)
+    got = _uniform_in_box(F, np.random.default_rng(7), size, _box_width(F))
     return [got], [np.random.default_rng(7).uniform(F.lower, F.upper, size=size)]
 
 
@@ -417,7 +439,7 @@ def pair_offsets(F, size):
     shape = (size[0], F.dim)
     # The max metric: a euclidean distance on the huge box overflows to inf.
     (family,) = sample_comparable_pairs(SpaceDescriptor(F.dim, "max"), F, size[0], 7).parts
-    got = family.rows()
+    got = family.rows(0, len(family))
     rng = np.random.default_rng(7)
     b_first = rng.uniform(F.lower, F.upper, size=shape)
     b_second = rng.uniform(F.lower, F.upper, size=shape)
@@ -454,4 +476,4 @@ class TestUniformInBox:
     def test_infinite_width_rejected(self):
         F = CoupledMap("wide", 1, lambda x, y: x, lower=[-1e308], upper=[1e308])
         with pytest.raises(InputError, match="wider than the largest float"):
-            _uniform_in_box(F, np.random.default_rng(0), (3, 1))
+            mixed_monotone_check(F, 3, rng_seed=0)
