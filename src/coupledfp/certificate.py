@@ -244,7 +244,12 @@ def directed_pairs(space: SpaceDescriptor, F: CoupledMap) -> SampleSet:
     """
     _pair_width(space, F)
     lo, hi = F.lower, F.upper
-    mid = 0.5 * (lo + hi)
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (lo + hi)
+    # lo + hi overflows where both edges exceed half the largest float;
+    # halve each edge first there only, so every other midpoint keeps its bits.
+    wide = ~np.isfinite(mid)
+    mid[wide] = 0.5 * lo[wide] + 0.5 * hi[wide]
     # (a_first, a_second, b_first, b_second) per candidate
     candidates = [(p, q, p, q) for p in (lo, mid, hi) for q in (lo, mid, hi)]
     candidates += [(hi, lo, lo, hi), (mid, mid, lo, hi), (hi, lo, mid, mid)]

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError
 from .expressions import Expression, evaluate_components, parse_expression
@@ -144,10 +145,18 @@ def integral_demo(n_nodes: int = 16) -> ProblemSpec:
     _positive_int(n_nodes, "integral_demo needs n_nodes >= 1, got {!r}")
     nodes = np.arange(n_nodes) / n_nodes
     # exp(-|t_i - t_j|), built in one N x N buffer.
-    kernel = np.subtract.outer(nodes, nodes)
-    np.abs(kernel, out=kernel)
-    np.negative(kernel, out=kernel)
-    np.exp(kernel, out=kernel)
+    if n_nodes & (n_nodes - 1) == 0:
+        # N = 2^k: t_i - t_j = (i - j)/N is exact, so |t_i - t_j| is the
+        # double t_|i-j| and the kernel is the Toeplitz matrix of its first
+        # row, the same bits from N exps and one copy.
+        row = np.exp(-nodes)
+        windows = sliding_window_view(np.concatenate((row[:0:-1], row)), n_nodes)
+        kernel = windows[::-1].copy()
+    else:
+        kernel = np.subtract.outer(nodes, nodes)
+        np.abs(kernel, out=kernel)
+        np.negative(kernel, out=kernel)
+        np.exp(kernel, out=kernel)
     scale = 1.0 / (4.0 * n_nodes)
 
     def squash(v: np.ndarray) -> np.ndarray:

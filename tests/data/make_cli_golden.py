@@ -11,7 +11,11 @@ output. The first 118 entries pin the commit before batched margin
 evaluation. The last ten, `estimate` at 1, 100, 500, 3000 and the default
 10 000 samples with their --json twins, were appended at the commit before
 the batched ratio search, which printed the first 118 byte for byte, so
-writing the file there only appended entries. --check replays the file
+writing the file there only appended entries. The last six, `solve`,
+`certify --samples 50` and `probe-uniqueness --samples 3` on
+configs/integral_100.json with their --json twins, were appended at the
+commit before integral_demo built dyadic kernels from their first row; N =
+100 pins the outer build end to end. --check replays the file
 the same way without pytest and never writes it: it prints the first
 differing argv with a unified diff of its stdout or stderr and exits 1, or
 exits 0 when every entry is byte-identical. Entries that exit 1 also keep stderr, so that error
@@ -59,6 +63,10 @@ EXTRA = [
     ["estimate", "--config", "configs/expr_2d.json", "--samples", "500"],
     ["estimate", "--config", "configs/expr_4d.json", "--samples", "3000"],
     ["estimate", "--problem", "linear_demo"],
+    # N = 100 is not a power of two, so its kernel keeps the outer build.
+    ["solve", "--config", "configs/integral_100.json"],
+    ["certify", "--config", "configs/integral_100.json", "--samples", "50"],
+    ["probe-uniqueness", "--config", "configs/integral_100.json", "--samples", "3"],
 ]
 
 

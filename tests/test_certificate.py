@@ -142,6 +142,17 @@ class TestDirected:
         with pytest.raises(InputError, match="too wide to build pairs on"):
             directed_pairs(SpaceDescriptor(1, metric), F)
 
+    @pytest.mark.parametrize(
+        "lo, hi, mid",
+        # lo + hi overflows; halving each subnormal edge first would give 1e-323
+        [(1e308, 1.1e308, 1.05e308), (5e-324, 2.5e-323, 1.5e-323)],
+        ids=["sum-overflows", "subnormal"],
+    )
+    def test_midpoint(self, lo, hi, mid):
+        F = CoupledMap("box", 1, lambda x, y: 0.5 * x + 0.5 * lo, [lo], [hi])
+        samples = directed_pairs(SpaceDescriptor(1, "max"), F)
+        assert (mid, mid) in [(s.a.first[0], s.a.second[0]) for s in samples]
+
     def test_walk_drops_pairs_that_left_the_box(self):
         prob = load_problem(EXPR_FLIP)
         F = prob.map

@@ -617,6 +617,22 @@ class TestPairsOnABoxNearTheLargestFloat:
         code, out, err = run_cli(capsys, *command, "--config", path)
         assert (code, err) == (want, "") and out
 
+    def test_midpoint_of_a_box_above_half_the_largest_float(self, capsys, tmp_path):
+        # lo + hi overflows here, but the box's midpoint is a float.
+        config = {
+            "dim": 1,
+            "metric": "max",
+            "components_F": ["0.5*x1 + 5e307"],
+            "domain_box": [1e308, 1.1e308],
+            "seed": {"x0": [1e308], "y0": [1.1e308]},
+        }
+        path = tmp_path / "high.json"
+        path.write_text(json.dumps(config))
+        argv = ["certify", "--config", str(path), "--alpha", "0.1", "--beta", "0.5"]
+        code, out, err = run_cli(capsys, *argv, "--samples", "50")
+        assert (code, err) == (2, "")
+        assert "violations: 14\n" in out
+
 
 class TestDeepExpressions:
     # An expression of depth d in MAX_DEPTH's levels; "x1/2" is 2 deep.

@@ -1,5 +1,6 @@
 import inspect
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,14 +139,27 @@ def kernel_rows(monkeypatch):
 class TestIntegralSharedProducts:
     """One kernel product per distinct row of s(x) - s(y) up to sign, bit for bit."""
 
-    @pytest.mark.parametrize("n", [1, 3, 16, 37, 1024])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 16, 37, 64, 100, 256, 1024])
     def test_kernel_built_in_place_matches_reference(self, n):
         evaluator = get_builtin("integral_demo", n).map.evaluator
         kernel = inspect.getclosurevars(evaluator).nonlocals["kernel"]
         t = np.arange(n) / n
         assert kernel.tobytes() == np.exp(-np.abs(t[:, None] - t[None, :])).tobytes()
 
-    @pytest.mark.parametrize("n", [1, 3, 16, 37, 1024])
+    @pytest.mark.parametrize("n", [1024, 1000], ids=["dyadic", "outer"])
+    def test_kernel_build_holds_one_square_buffer(self, n):
+        # Both builds make one N x N buffer and no N x N temporary; the rest
+        # of the peak is the spec's own N-length arrays and a few more.
+        problems.integral_demo(n)
+        tracemalloc.start()
+        try:
+            problems.integral_demo(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 8 * n * n < peak < 8 * n * n + 24 * 8 * n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 16, 37, 64, 100, 256, 1024])
     def test_stacks_match_per_row_reference(self, n):
         F = get_builtin("integral_demo", n).map
         rng = np.random.default_rng(n)
@@ -155,7 +169,7 @@ class TestIntegralSharedProducts:
             assert F.evaluator(X, Y).tobytes() == expected
             assert F.evaluate_rows(X, Y).tobytes() == expected
 
-    @pytest.mark.parametrize("n", [1, 3, 16, 37, 1024])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 16, 37, 64, 100, 256, 1024])
     def test_one_row_matches_reference(self, n):
         F = get_builtin("integral_demo", n).map
         X, Y = sharing_stack(np.random.default_rng(n), n)
