@@ -18,7 +18,6 @@ always mixes the directed family into the uniform draw.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -48,7 +47,7 @@ WALK_STEPS = 8
 # elements costs little more than its fixed numpy overhead of about 20 us
 # (2-core VM, Python 3.11, numpy 2.4), so 300 samples fit the whole path of
 # 20 midpoints in one pass. From n > PASS_FLOATS / 2 a pass holds only the
-# bisection's own next midpoint, and the search skips the prediction.
+# bisection's own next midpoint, whatever the prediction.
 PASS_FLOATS = 2**13
 # Cap on the crossing steps of `_predicted_ratio`, which is only a guess.
 ENVELOPE_STEPS = 64
@@ -430,15 +429,16 @@ def _predicted_ratio(samples: SampleSet) -> float:
     Rounding can put the guess on the other side of a midpoint than
     `_alpha_interval` puts it, so nothing is decided from it. Lines that are
     not finite are left out (an infinite rational term or a NaN distance
-    sum, for two, constrains nothing). A sample with h = 0 that no alpha
-    satisfies gives the neutral guess 0.5; with no line left every ratio is
-    feasible and the guess is 0.0.
+    sum, for two, constrains nothing), and so is a NaN t_min quotient
+    (inf / inf), as `_alpha_interval` skips it. A sample with h = 0 that no
+    alpha satisfies gives the neutral guess 0.5; with no line left every
+    ratio is feasible and the guess is 0.0.
     """
     image, term = samples.image_distance, samples.rational_term
     h = 0.5 * samples.distance_sum
     with np.errstate(all="ignore"):  # non-finite terms make a guess, not an error
         pushed = (h == 0) & (image > 0)
-        alpha_min = (image[pushed] / term[pushed]).max(initial=0.0)
+        alpha_min = np.fmax.reduce(image[pushed] / term[pushed], initial=0.0)
         if not alpha_min <= 1.0 - ALPHA_INSET:
             return 0.5
         a = (image - term) / h
@@ -472,8 +472,7 @@ def _predicted_ratio(samples: SampleSet) -> float:
 def _bisection_path(r_lo: float, r_hi: float, guess: float, count: int) -> list[float]:
     """The ratios one pass tests: the next ``count`` midpoints of a bisection
     from (r_lo, r_hi) in which exactly the ratios >= ``guess`` are feasible,
-    then the RATIO_TOL floor when that bisection ends below it. A guess of
-    +inf predicts every midpoint infeasible, so it never adds the floor."""
+    then the RATIO_TOL floor when that bisection ends below it."""
     path = []
     while r_hi - r_lo > RATIO_TOL:
         if len(path) == count:
@@ -512,9 +511,7 @@ def estimate_params(samples: SampleSet) -> ParamEstimate:
     if not len(samples):
         raise InputError("estimate_params needs at least one sample")
     per_pass = max(1, PASS_FLOATS // len(samples))
-    # A one-midpoint pass holds the bisection's own next midpoint whatever
-    # the guess, so large sets skip the prediction.
-    guess = _predicted_ratio(samples) if per_pass > 1 else math.inf
+    guess = _predicted_ratio(samples)
 
     def run_pass(ratios: list[float]) -> None:
         lo, hi = _alpha_interval(np.array(ratios), samples)

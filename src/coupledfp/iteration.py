@@ -222,7 +222,7 @@ def _run(
     check that raises is redone seed by seed with `check_seed_condition`,
     whose DomainError for a seed outside the box propagates, and step 0 is
     then evaluated as any other step. ``trace`` records the steps of a
-    one-seed run, without their bounds.
+    one-seed run, each with its bound ratio**n * D0 when params are set.
     """
     _check_dims(space, F.lower)
     tol = config.tol
@@ -248,7 +248,10 @@ def _run(
         gaps = row_distances(space, img, xyx[: 2 * m])
         if trace is not None and m:
             gap_x, gap_y = float(gaps[0]), float(gaps[m])
-            trace.entries.append(TraceEntry(n, xyx[0], xyx[m], gap_x, gap_y, None))
+            if not n:
+                d0 = 0.5 * (gap_x + gap_y)  # the D0 of `IterationTrace.initial_mean_gap`
+            bound = None if ratio is None else ratio**n * d0
+            trace.entries.append(TraceEntry(n, xyx[0], xyx[m], gap_x, gap_y, bound))
         worst_gap = np.maximum(gaps[:m], gaps[m:])
         # The stopping rule of IterationConfig.
         tail = worst_gap if ratio is None else worst_gap * ratio / (1.0 - ratio)
@@ -303,7 +306,8 @@ def iterate(
     (non-finite values or escape from the padded box) raises
     :class:`DivergenceError`. Deterministic: identical inputs give
     identical traces. This is the one-seed run of the loop that
-    `uniqueness_probe` runs on all its seeds at once.
+    `uniqueness_probe` runs on all its seeds at once. With params, each
+    trace entry gets its `apriori_gap_bound` when the step is recorded.
     """
     config = config or IterationConfig()
     X = np.array([as_point(x0, dim=F.dim)])
@@ -313,10 +317,7 @@ def iterate(
     if error is not None:
         raise error
     if config.params is not None:
-        d0 = trace.initial_mean_gap()
-        trace.entries = [
-            TraceEntry(*e[:5], apriori_gap_bound(config.params, d0, e.n)) for e in trace.entries
-        ]
+        _check_mean_gap(trace.initial_mean_gap())
     return result, trace
 
 

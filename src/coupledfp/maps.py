@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ComparabilityError, DimensionMismatchError, DomainError, InputError
 from .spaces import Pair, SpaceDescriptor, as_point, product_leq, row_distances
-from .spaces import _check_dims, _positive_int
+from .spaces import _check_dims, _positive_dim, _positive_int
 
 # Floats in one stack of map arguments: sampled checks draw, evaluate and
 # score their samples in blocks of this size and keep only per-sample results,
@@ -112,7 +112,7 @@ class CoupledMap:
     _padded: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        _positive_int(self.dim, "dim must be a positive integer, got {!r}")
+        _positive_dim(self.dim)
         lower = as_point(self.lower, dim=self.dim)
         upper = as_point(self.upper, dim=self.dim)
         if np.any(lower > upper):

@@ -26,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import InputError
 from .expressions import Expression, evaluate_components, parse_expression
 from .maps import ContractionParams, CoupledMap
-from .spaces import Pair, SpaceDescriptor, _positive_int, as_point
+from .spaces import Pair, SpaceDescriptor, _positive_dim, _positive_int, as_point
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,13 +227,18 @@ def _reject_unknown(doc: Mapping, allowed: set[str], where: str) -> None:
         raise InputError(f"unknown {where} fields: {sorted(unknown)}")
 
 
-def _parse_params(doc) -> ContractionParams:
+def _check_record(doc, keys: set[str], where: str) -> None:
+    """InputError unless ``doc`` is an object with exactly ``keys``."""
     if not isinstance(doc, Mapping):
-        raise InputError("params must be an object with alpha and beta")
-    _reject_unknown(doc, _PARAM_KEYS, "params")
-    missing = _PARAM_KEYS - set(doc)
+        raise InputError(f"{where} must be an object with {' and '.join(sorted(keys))}")
+    _reject_unknown(doc, keys, where)
+    missing = keys - set(doc)
     if missing:
-        raise InputError(f"params is missing {sorted(missing)}")
+        raise InputError(f"{where} is missing {sorted(missing)}")
+
+
+def _parse_params(doc) -> ContractionParams:
+    _check_record(doc, _PARAM_KEYS, "params")
     try:
         return ContractionParams(float(doc["alpha"]), float(doc["beta"]))
     except (TypeError, ValueError) as exc:
@@ -243,17 +248,8 @@ def _parse_params(doc) -> ContractionParams:
 
 
 def _parse_seed(doc, dim: int) -> Pair:
-    if not isinstance(doc, Mapping):
-        raise InputError("seed must be an object with x0 and y0")
-    _reject_unknown(doc, _SEED_KEYS, "seed")
-    missing = _SEED_KEYS - set(doc)
-    if missing:
-        raise InputError(f"seed is missing {sorted(missing)}")
+    _check_record(doc, _SEED_KEYS, "seed")
     return Pair(as_point(doc["x0"], dim=dim), as_point(doc["y0"], dim=dim))
-
-
-def _parse_dim(dim) -> int:
-    return _positive_int(dim, "dim must be a positive integer, got {!r}")
 
 
 def _parse_box(doc, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -292,7 +288,7 @@ def build_problem(config: Mapping) -> ProblemSpec:
 
     if "builtin" in config:
         _reject_unknown(config, _BUILTIN_KEYS, "builtin config")
-        dim = None if config.get("dim") is None else _parse_dim(config["dim"])
+        dim = None if config.get("dim") is None else _positive_dim(config["dim"])
         spec = get_builtin(str(config["builtin"]), dim)
         seed = spec.seed if "seed" not in config else _parse_seed(config["seed"], spec.space.dim)
         params = (
@@ -306,7 +302,7 @@ def build_problem(config: Mapping) -> ProblemSpec:
         raise InputError("config needs either 'builtin' or 'components_F'")
     if "dim" not in config:
         raise InputError("custom maps need an explicit 'dim'")
-    dim = _parse_dim(config["dim"])
+    dim = _positive_dim(config["dim"])
     components = config["components_F"]
     if not isinstance(components, (list, tuple)) or len(components) != dim:
         raise InputError(f"components_F must list exactly {dim} expressions")

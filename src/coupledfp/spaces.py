@@ -48,6 +48,11 @@ def _positive_int(value, message: str, minimum: int = 1) -> int:
     return value
 
 
+def _positive_dim(dim) -> int:
+    """``dim`` if it is a positive int, else InputError: the rule for every dimension."""
+    return _positive_int(dim, "dim must be a positive integer, got {!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Pair:
     """An element of the product space: two points of equal dimension."""
@@ -79,7 +84,7 @@ class SpaceDescriptor:
     metric: str = "euclidean"
 
     def __post_init__(self):
-        _positive_int(self.dim, "dim must be a positive integer, got {!r}")
+        _positive_dim(self.dim)
         if self.metric not in METRICS:
             raise InputError(f"unknown metric {self.metric!r}; choose from {METRICS}")
 

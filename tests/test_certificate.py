@@ -537,6 +537,21 @@ class TestRatioSearch:
         assert len(sizes) == passes
         assert sizes[0] == (1 + 20 + floor if passes == 1 else 2)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[(math.inf, math.inf, 0.0)], [(math.inf, math.inf, 0.0), (0.1, 0.0, 1.0)]],
+        ids=["nan-quotient", "nan-quotient-and-a-line"],
+    )
+    def test_zero_span_nan_quotient_takes_one_pass(self, rows):
+        # (image distance, rational term, distance sum): inf / inf bounds no
+        # alpha, in the guess as in `_alpha_interval`
+        image, term, span = np.array(rows).T
+        samples = SampleSet((), image, term, span)
+        with counted_passes() as passes:
+            got = estimate_params(samples)
+        assert len(passes) == 1
+        assert got == reference_estimate(samples)
+
     @pytest.mark.parametrize("guess", [0.0, 0.999, math.nan])
     @pytest.mark.parametrize("n", [None, 1, 300, 3000, "infeasible"])
     def test_guess_changes_only_the_pass_count(self, linear, monkeypatch, n, guess):

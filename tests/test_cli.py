@@ -179,13 +179,34 @@ class TestSolve:
             ({**CUSTOM, "metric": "taxicab"}, "unknown metric 'taxicab'"),
             # the metric is checked before the box
             ({**CUSTOM, "metric": "taxicab", "domain_box": [1, -1]}, "unknown metric 'taxicab'"),
+            (
+                {"builtin": "linear_demo", "params": 0.5},
+                "error: params must be an object with alpha and beta\n",
+            ),
+            (
+                {"builtin": "linear_demo", "seed": "origin"},
+                "error: seed must be an object with x0 and y0\n",
+            ),
+            (
+                {"builtin": "linear_demo", "seed": {"x0": [0], "y0": [0], "z0": [0]}},
+                "error: unknown seed fields: ['z0']\n",
+            ),
+            (
+                {"builtin": "linear_demo", "seed": {"x0": [[0.0]], "y0": [0.0]}},
+                "error: a point must be a flat sequence, got shape (1, 1)\n",
+            ),
+            (
+                {"builtin": "linear_demo", "seed": {"x0": [], "y0": [0.0]}},
+                "error: a point needs at least one coordinate\n",
+            ),
         ],
         ids=[
             "dim-string", "dim-bool", "custom-dim-bool", "x0-string", "box-string",
             "alpha-string", "alpha-null", "params-not-object", "params-missing-key",
             "seed-not-object", "seed-missing-key", "box-shape", "box-lower-above-upper",
             "config-not-object", "no-map", "custom-no-dim", "unknown-metric",
-            "metric-before-box",
+            "metric-before-box", "params-number", "seed-string", "seed-unknown-key",
+            "x0-nested", "x0-empty",
         ],
     )
     def test_malformed_config_exit_one(self, capsys, tmp_path, config, message):

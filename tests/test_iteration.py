@@ -346,6 +346,22 @@ class TestAprioriBounds:
         with pytest.raises(InputError, match=message):
             bound(gap)
 
+    @pytest.mark.parametrize(
+        "bound, value, message",
+        [
+            (apriori_gap_bound, -1, "step must be >= 0"),
+            (apriori_iteration_count, 0.0, "eps must be > 0, got 0.0"),
+            (apriori_iteration_count, -1e-3, "eps must be > 0, got -0.001"),
+            (apriori_iteration_count, math.nan, "eps must be > 0, got nan"),
+        ],
+        ids=["negative-step", "zero-eps", "negative-eps", "nan-eps"],
+    )
+    def test_step_and_eps_rules(self, bound, value, message):
+        # the step of apriori_gap_bound, the eps of apriori_iteration_count
+        with pytest.raises(InputError) as exc:
+            bound(PARAMS_LINEAR, 0.5, value)
+        assert str(exc.value) == message
+
     def test_bound_examples(self):
         assert apriori_gap_bound(PARAMS_LINEAR, 0.5, 0) == 0.5
         assert apriori_gap_bound(PARAMS_LINEAR, 0.5, 1) == pytest.approx(
@@ -366,6 +382,24 @@ class TestAprioriBounds:
             assert e.gap_x <= bound + 1e-12
             assert e.gap_y <= bound + 1e-12
             assert e.bound == pytest.approx(bound, rel=1e-15)
+
+    @pytest.mark.parametrize("problem", ["linear_demo", "affine_demo", "integral_demo"])
+    def test_trace_bounds_are_the_apriori_bounds(self, problem):
+        prob = get_builtin(problem)
+        config = IterationConfig(params=prob.suggested_params)
+        _, trace = iterate(prob.space, prob.map, prob.seed.first, prob.seed.second, config)
+        d0 = trace.initial_mean_gap()
+        assert [e.bound for e in trace] == [
+            apriori_gap_bound(prob.suggested_params, d0, e.n) for e in trace
+        ]
+
+    def test_non_finite_initial_gap_raises_after_the_run(self):
+        # the first gaps overflow to inf in a box as wide as the floats allow
+        F = CoupledMap("flip", 1, lambda x, y: -x, [-1e308], [1e308])
+        config = IterationConfig(max_iter=3, params=PARAMS_LINEAR)
+        with np.errstate(over="ignore"), pytest.raises(InputError) as exc:
+            iterate(SpaceDescriptor(1, "max"), F, [-1e308], [1e308], config)
+        assert str(exc.value) == "initial_mean_gap must be finite, got inf"
 
     def test_affine_gap_bounds_from_step_one(self, affine):
         params = affine.suggested_params
@@ -398,6 +432,23 @@ class TestAprioriBounds:
     def test_count_zero_when_eps_large(self):
         assert apriori_iteration_count(PARAMS_LINEAR, 0.5, 10.0) == 0
         assert apriori_iteration_count(PARAMS_LINEAR, 0.0, 1e-12) == 0
+
+    @pytest.mark.parametrize(
+        "alpha, beta, d0, eps, n",
+        [
+            # the log estimate gives 32, one step short: the first guard adds one
+            (0.5, 0.05, 1.0, 1.1111111111111128e-32, 33),
+            # the log estimate gives 39, one step long: the second guard takes one off
+            (0.5, 0.375, 0.5, 3.5756747241377764e-05, 38),
+        ],
+        ids=["estimate-short", "estimate-long"],
+    )
+    def test_count_guards_the_rounded_log(self, alpha, beta, d0, eps, n):
+        params = ContractionParams(alpha, beta)
+        r, tail0 = params.ratio, d0 / (1 - params.ratio)
+        assert math.ceil(math.log(eps / tail0) / math.log(r)) != n
+        assert apriori_iteration_count(params, d0, eps) == n
+        assert r**n * tail0 <= eps < r ** (n - 1) * tail0
 
     def test_count_matches_definition_on_grid(self):
         params = ContractionParams(0.2, 0.3)
@@ -763,6 +814,16 @@ class TestTraceCsv:
         assert first[0] == "0"
         assert float(first[1]) == -1.0
         assert float(first[5]) == 0.5  # bound column = D0 at step 0
+
+    @pytest.mark.parametrize(
+        "read",
+        [IterationTrace.initial_mean_gap, lambda trace: trace.write_csv(io.StringIO())],
+        ids=["initial_mean_gap", "write_csv"],
+    )
+    def test_empty_trace_rejected(self, read):
+        with pytest.raises(InputError) as exc:
+            read(IterationTrace())
+        assert str(exc.value) == "empty trace"
 
     def test_bound_column_empty_without_params(self, linear):
         config = IterationConfig(max_iter=40, tol=1e-8)

@@ -51,6 +51,14 @@ class TestContractionParams:
         with pytest.raises(InputError):
             ContractionParams(0.6, 0.4)
 
+    @pytest.mark.parametrize(
+        "alpha, beta", [(np.nan, 0.5), (np.inf, 0.5), (0.1, np.inf), (0.1, -np.inf)]
+    )
+    def test_rejects_non_finite_values(self, alpha, beta):
+        with pytest.raises(InputError) as exc:
+            ContractionParams(alpha, beta)
+        assert str(exc.value) == "alpha and beta must be finite"
+
     def test_alpha_zero_warns_but_works(self):
         with pytest.warns(UserWarning):
             params = ContractionParams(0.0, 0.5)
