@@ -70,11 +70,11 @@ def _dumps(value, indent: str = "\n") -> str:
 
 
 def _load_problem(args) -> ProblemSpec:
-    if getattr(args, "problem", None) and getattr(args, "config", None):
+    if args.problem and args.config:
         raise InputError("give either --problem or --config, not both")
-    if getattr(args, "problem", None):
+    if args.problem:
         return get_builtin(args.problem)
-    if getattr(args, "config", None):
+    if args.config:
         return load_problem(args.config)
     raise InputError("a problem is required: --problem NAME or --config PATH")
 
@@ -95,8 +95,7 @@ def _params_from(args, problem: ProblemSpec, required: bool) -> ContractionParam
     return None
 
 
-def _cmd_solve(args):
-    problem = _load_problem(args)
+def _cmd_solve(args, problem):
     params = _params_from(args, problem, required=False)
     config = IterationConfig(max_iter=args.max_iter, tol=args.tol, params=params)
     result, trace = iterate(
@@ -109,7 +108,6 @@ def _cmd_solve(args):
         except OSError as exc:
             raise InputError(f"cannot write trace {args.trace}: {exc.strerror}") from exc
     payload = {
-        "problem": problem.name,
         "converged": result.converged,
         "iterations_used": result.iterations_used,
         "final_residual": result.final_residual,
@@ -121,7 +119,6 @@ def _cmd_solve(args):
     }
 
     def text():
-        yield f"problem: {problem.name}"
         yield (
             f"converged: {str(result.converged).lower()} "
             f"({result.iterations_used} iterations, residual {_fmt(result.final_residual)})"
@@ -136,16 +133,14 @@ def _cmd_solve(args):
     return (EXIT_OK if result.converged else EXIT_FINDING), payload, text
 
 
-def _cmd_certify(args):
-    problem = _load_problem(args)
+def _cmd_certify(args, problem):
     params = _params_from(args, problem, required=True)
     report = certify_region(
         problem.space, problem.map, params, count=args.samples, rng_seed=args.rng_seed
     )
-    payload = {"problem": problem.name, **report.to_jsonable()}
+    payload = report.to_jsonable()
 
     def text():
-        yield f"problem: {problem.name}"
         yield (
             f"params: alpha={_fmt(params.alpha)} beta={_fmt(params.beta)} "
             f"ratio={_fmt(params.ratio)}"
@@ -167,14 +162,12 @@ def _cmd_certify(args):
     return (EXIT_FINDING if report.falsified else EXIT_OK), payload, text
 
 
-def _cmd_estimate(args):
-    problem = _load_problem(args)
+def _cmd_estimate(args, problem):
     samples = sample_comparable_pairs(problem.space, problem.map, args.samples, args.rng_seed)
     estimate = estimate_params(samples)
-    payload = {"problem": problem.name, **estimate.to_jsonable()}
+    payload = estimate.to_jsonable()
 
     def text():
-        yield f"problem: {problem.name}"
         if estimate.feasible:
             yield f"feasible: true (on {estimate.sample_count} samples)"
             yield f"minimal ratio: {_fmt(estimate.ratio)} (within {_fmt(estimate.ratio_tol)})"
@@ -185,11 +178,9 @@ def _cmd_estimate(args):
     return (EXIT_OK if estimate.feasible else EXIT_FINDING), payload, text
 
 
-def _cmd_check_monotone(args):
-    problem = _load_problem(args)
+def _cmd_check_monotone(args, problem):
     report = mixed_monotone_check(problem.map, args.samples, args.rng_seed)
     payload = {
-        "problem": problem.name,
         "sample_count": report.sample_count,
         "violations": report.violations,
         "worst_excess": report.worst_excess,
@@ -197,7 +188,6 @@ def _cmd_check_monotone(args):
     }
 
     def text():
-        yield f"problem: {problem.name}"
         yield f"samples: {report.sample_count}"
         yield f"violations: {report.violations}"
         yield f"worst excess: {_fmt(report.worst_excess)}"
@@ -209,8 +199,7 @@ def _cmd_check_monotone(args):
     return (EXIT_FINDING if report.falsified else EXIT_OK), payload, text
 
 
-def _cmd_probe_uniqueness(args):
-    problem = _load_problem(args)
+def _cmd_probe_uniqueness(args, problem):
     params = _params_from(args, problem, required=False)
     config = IterationConfig(max_iter=args.max_iter, tol=args.tol, params=params)
     seeds = [problem.seed]
@@ -222,7 +211,6 @@ def _cmd_probe_uniqueness(args):
         seeds.extend(Pair(row[0], row[1]) for row in draws)
     report = uniqueness_probe(problem.space, problem.map, seeds, config)
     payload = {
-        "problem": problem.name,
         "seeds": len(seeds),
         "all_agree": report.all_agree,
         "max_pairwise_distance": report.max_pairwise_distance,
@@ -242,7 +230,6 @@ def _cmd_probe_uniqueness(args):
     }
 
     def text():
-        yield f"problem: {problem.name}"
         yield f"seeds probed: {len(seeds)}"
         for r in report.runs:
             seed = f"  seed {_vec(r.seed.first)}/{_vec(r.seed.second)}"
@@ -331,9 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command line and return its exit code.
 
-    Each subcommand handler returns (exit code, JSON payload, text), where
-    text is a zero-argument generator of the report's lines. Only here is
-    one of the two chosen and printed, so under --json no text is formatted.
+    Every subcommand but list-builtins gets its problem loaded here, and its
+    name goes into both outputs: the "problem" key of the JSON payload and
+    the first text line. Each handler returns (exit code, JSON payload,
+    text), where text is a zero-argument generator of the report's lines.
+    Only here is one of the two chosen and printed, so under --json no text
+    is formatted.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -342,8 +332,15 @@ def main(argv=None) -> int:
             raise InputError(f"--rng-seed must be >= 0, got {args.rng_seed}")
         if getattr(args, "samples", 1) < 1:
             raise InputError(f"{args.command} needs --samples >= 1")
-        code, payload, text = args.handler(args)
-        print(_dumps(payload) if args.json else "\n".join(text()))
+        head = []
+        if args.command == "list-builtins":
+            code, payload, text = args.handler(args)
+        else:
+            problem = _load_problem(args)
+            code, payload, text = args.handler(args, problem)
+            payload = {"problem": problem.name, **payload}
+            head = [f"problem: {problem.name}"]
+        print(_dumps(payload) if args.json else "\n".join([*head, *text()]))
         return code
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)

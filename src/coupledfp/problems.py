@@ -240,11 +240,12 @@ def _check_record(doc, keys: set[str], where: str) -> None:
 def _parse_params(doc) -> ContractionParams:
     _check_record(doc, _PARAM_KEYS, "params")
     try:
-        return ContractionParams(float(doc["alpha"]), float(doc["beta"]))
+        alpha, beta = float(doc["alpha"]), float(doc["beta"])
     except (TypeError, ValueError) as exc:
         raise InputError(
             f"params alpha and beta must be numbers, got {doc['alpha']!r} and {doc['beta']!r}"
         ) from exc
+    return ContractionParams(alpha, beta)
 
 
 def _parse_seed(doc, dim: int) -> Pair:

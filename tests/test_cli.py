@@ -9,10 +9,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from coupledfp import InputError, cli
+from coupledfp import cli
 from coupledfp.cli import _dumps, main
 from coupledfp.expressions import MAX_DEPTH
-from coupledfp.parallel import worker_cap
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -199,6 +198,19 @@ class TestSolve:
                 {"builtin": "linear_demo", "seed": {"x0": [], "y0": [0.0]}},
                 "error: a point needs at least one coordinate\n",
             ),
+            # numbers that break a rule of the params report that rule
+            (
+                {"builtin": "linear_demo", "params": {"alpha": 0.6, "beta": 0.5}},
+                "error: alpha + beta must be < 1, got 1.1\n",
+            ),
+            (
+                {"builtin": "linear_demo", "params": {"alpha": "nan", "beta": 0.5}},
+                "error: alpha and beta must be finite\n",
+            ),
+            (
+                {"builtin": "linear_demo", "params": {"alpha": -1, "beta": 0.5}},
+                "error: alpha must be >= 0, got -1.0\n",
+            ),
         ],
         ids=[
             "dim-string", "dim-bool", "custom-dim-bool", "x0-string", "box-string",
@@ -206,7 +218,7 @@ class TestSolve:
             "seed-not-object", "seed-missing-key", "box-shape", "box-lower-above-upper",
             "config-not-object", "no-map", "custom-no-dim", "unknown-metric",
             "metric-before-box", "params-number", "seed-string", "seed-unknown-key",
-            "x0-nested", "x0-empty",
+            "x0-nested", "x0-empty", "params-sum-too-big", "alpha-nan", "alpha-negative",
         ],
     )
     def test_malformed_config_exit_one(self, capsys, tmp_path, config, message):
@@ -715,22 +727,6 @@ class TestBlasThreadCount:
         outs = [proc.communicate(timeout=120)[0] for proc in runs]
         assert [proc.returncode for proc in runs] == [0, 0]
         assert outs[0] == outs[1] and "violations: 0" in outs[0]
-
-
-class TestThreadsVariable:
-    def test_empty_counts_as_unset(self, capsys, monkeypatch):
-        monkeypatch.setenv("COUPLED_FP_THREADS", "")
-        assert worker_cap() == (os.cpu_count() or 1)
-        code, _, err = run_cli(
-            capsys, "probe-uniqueness", "--problem", "linear_demo", "--samples", "2"
-        )
-        assert code == 0, err
-
-    @pytest.mark.parametrize("raw", ["two", "0", "-1"])
-    def test_bad_values_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv("COUPLED_FP_THREADS", raw)
-        with pytest.raises(InputError):
-            worker_cap()
 
 
 class TestGoldenCheck:

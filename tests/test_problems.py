@@ -283,6 +283,8 @@ class TestBuildProblem:
             }
         )
         assert prob.map.lower.tolist() == [-1.0, -2.0]
+        described = prob.describe()
+        assert described["params"] is None and described["expected_fixed_pair"] is None
 
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "problem.json"
