@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from coupledfp import cli
 from coupledfp.cli import _dumps, main
 from coupledfp.expressions import MAX_DEPTH
+from coupledfp.parallel import worker_cap
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -727,6 +728,29 @@ class TestBlasThreadCount:
         outs = [proc.communicate(timeout=120)[0] for proc in runs]
         assert [proc.returncode for proc in runs] == [0, 0]
         assert outs[0] == outs[1] and "violations: 0" in outs[0]
+
+
+class TestThreadsVariable:
+    # nothing in `src/` reads COUPLED_FP_THREADS: the `parallel` stub runs on
+    # one thread whatever it holds, and the CLI prints what it prints unset
+    ARGV = ("probe-uniqueness", "--problem", "linear_demo", "--samples", "2")
+
+    def test_empty_counts_as_unset(self, capsys, monkeypatch):
+        monkeypatch.delenv("COUPLED_FP_THREADS", raising=False)
+        unset = run_cli(capsys, *self.ARGV)
+        monkeypatch.setenv("COUPLED_FP_THREADS", "")
+        assert worker_cap() == 1
+        assert run_cli(capsys, *self.ARGV) == unset
+        assert unset[0] == 0, unset[2]
+
+    @pytest.mark.parametrize("raw", ["two", "0", "-1"])
+    def test_bad_values_ignored(self, capsys, monkeypatch, raw):
+        monkeypatch.delenv("COUPLED_FP_THREADS", raising=False)
+        unset = run_cli(capsys, *self.ARGV)
+        monkeypatch.setenv("COUPLED_FP_THREADS", raw)
+        assert worker_cap() == 1
+        assert run_cli(capsys, *self.ARGV) == unset
+        assert unset[0] == 0, unset[2]
 
 
 class TestGoldenCheck:
