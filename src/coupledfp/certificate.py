@@ -18,6 +18,7 @@ always mixes the directed family into the uniform draw.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -27,6 +28,7 @@ from .errors import DomainError, InputError
 from .maps import (
     ContractionParams,
     CoupledMap,
+    _margin,
     _pair_width,
     _sample_blocks,
     _skip,
@@ -35,22 +37,17 @@ from .maps import (
 )
 from .spaces import Pair, SpaceDescriptor, _check_dims, _positive_int, rows_product_leq
 
-# Resolution of the bisection search for the minimal feasible ratio.
+# Floor of the minimal ratio, which keeps beta positive; the top is 1 - RATIO_TOL.
 RATIO_TOL = 1e-6
 # Witness alpha is pulled this far inside its feasible interval so that the
 # reported params re-certify with strictly nonnegative float margins.
 ALPHA_INSET = 1e-9
 # Length of the iteration walk in the directed sample family.
 WALK_STEPS = 8
-# An `_alpha_interval` pass over n samples tests up to max(1, PASS_FLOATS // n)
-# midpoints of the predicted bisection path. A pass of up to about 2^13
-# elements costs little more than its fixed numpy overhead of about 20 us
-# (2-core VM, Python 3.11, numpy 2.4), so 300 samples fit the whole path of
-# 20 midpoints in one pass. From n > PASS_FLOATS / 2 a pass holds only the
-# bisection's own next midpoint, whatever the prediction.
-PASS_FLOATS = 2**13
-# Cap on the crossing steps of `_predicted_ratio`, which is only a guess.
+# Cap on the crossing steps of `_predicted_ratio`.
 ENVELOPE_STEPS = 64
+# Cap on the floats `estimate_params` steps r up for a witness without a negative margin.
+WITNESS_STEPS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,6 +150,7 @@ class SampleSet:
         return len(self.image_distance)
 
     def __getitem__(self, k: int) -> SamplePair:
+        k = operator.index(k)  # a numpy integer too, which `_skip` would reject
         n = len(self)
         if not -n <= k < n:
             raise IndexError(f"sample {k} of a set of {n}")
@@ -391,9 +389,10 @@ def _alpha_interval(ratios: np.ndarray, samples: SampleSet) -> tuple[np.ndarray,
     distance sum (inf / inf), whose constraint every alpha meets; fmax and
     fmin skip it, so it leaves the other samples' bounds in place. The clips
     keep Python's ``max(0.0, raw)`` and ``min(cap, raw)``: a side with no
-    bound but NaN ones gets the clip value, and a zero lo is +0.0.
+    bound but NaN ones gets the clip value, and a zero lo is +0.0. A quotient
+    that overflows (a slope near 0) is the infinite bound it stands for.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         h = (0.5 * ratios)[:, None] * samples.distance_sum
         slope = samples.rational_term - h
         offset = np.subtract(samples.image_distance, h, out=h)
@@ -414,7 +413,7 @@ def _alpha_interval(ratios: np.ndarray, samples: SampleSet) -> tuple[np.ndarray,
 
 
 def _predicted_ratio(samples: SampleSet) -> float:
-    """The samples' minimal ratio from its linear program, as a guess only.
+    """The samples' minimal ratio from its linear program.
 
     With t = 1 / (1 - alpha) (the Charnes-Cooper substitution) and
     h = distance_sum / 2, a sample with h > 0 holds at ratio r exactly when
@@ -426,10 +425,10 @@ def _predicted_ratio(samples: SampleSet) -> float:
     step moves to where the lines on top at the two ends of a bracket cross.
     The envelope at t = 1 is max(2 * image_distance / distance_sum).
 
-    Rounding can put the guess on the other side of a midpoint than
-    `_alpha_interval` puts it, so nothing is decided from it. Lines that are
-    not finite are left out (an infinite rational term or a NaN distance
-    sum, for two, constrains nothing), and so is a NaN t_min quotient
+    `estimate_params` starts its search here; since `_alpha_interval` rounds
+    differently, the least ratio it finds feasible lies a few floats away.
+    Lines that are not finite are left out (an infinite rational term or a
+    NaN distance sum, for two, constrains nothing), and so is a NaN t_min quotient
     (inf / inf), as `_alpha_interval` skips it. A sample with h = 0 that no
     alpha satisfies gives the neutral guess 0.5; with no line left every
     ratio is feasible and the guess is 0.0.
@@ -469,76 +468,65 @@ def _predicted_ratio(samples: SampleSet) -> float:
     return r
 
 
-def _bisection_path(r_lo: float, r_hi: float, guess: float, count: int) -> list[float]:
-    """The ratios one pass tests: the next ``count`` midpoints of a bisection
-    from (r_lo, r_hi) in which exactly the ratios >= ``guess`` are feasible,
-    then the RATIO_TOL floor when that bisection ends below it."""
-    path = []
-    while r_hi - r_lo > RATIO_TOL:
-        if len(path) == count:
-            return path
-        mid = 0.5 * (r_lo + r_hi)
-        path.append(mid)
-        if mid >= guess:
-            r_hi = mid
-        else:
-            r_lo = mid
-    if r_hi < RATIO_TOL:
-        path.append(RATIO_TOL)
-    return path
-
-
 def estimate_params(samples: SampleSet) -> ParamEstimate:
     """Invert the contraction inequality: minimal ratio over the samples.
 
-    The constraints are linear in (alpha, beta) and feasibility is monotone
-    in the ratio, so a bisection on r in (0, 1) with an exact interval
-    intersection in alpha at each candidate finds the minimum to RATIO_TOL.
-    When even arbitrarily small ratios are feasible the bisection floor is
-    reported; when no ratio below 1 works the estimate is infeasible.
+    The ratio r* is the least float in [RATIO_TOL, 1 - RATIO_TOL] at which
+    the feasible alphas (`_alpha_interval`) are not empty and the witness
+    picked from them has no negative margin on the samples, those with a
+    non-finite term exempt. The float below r* fails one of the two, unless
+    r* is the floor; when the top fails, the estimate is infeasible.
 
-    The minimal ratio of the linear program (`_predicted_ratio`) only guides
-    the search: it predicts which midpoints the bisection visits, and one
-    `_alpha_interval` pass tests that path (up to max(1, PASS_FLOATS // n)
-    midpoints), with the top ratio in the first pass and the floor when the
-    path ends below it. The one-at-a-time decisions are replayed from that
-    table of intervals; a midpoint the table lacks starts a new pass,
-    predicted from the current bracket, so every pass decides at least one
-    level. Every midpoint is built from the same bracket as in a
-    one-at-a-time bisection, so the search takes the same path and returns
-    the same floats whatever the guess; a wrong guess costs passes only.
+    The search runs over float bit patterns. Its first pass tests the top,
+    the floor, and the linear program's minimal ratio (`_predicted_ratio`)
+    with its two neighbouring floats; the bracket then widens from that
+    guess, doubling, and halves down to adjacent floats, so a wrong guess
+    costs passes only. Then r steps up one float at a time while rounding
+    leaves the witness a negative margin, up to WITNESS_STEPS floats.
     """
     if not len(samples):
         raise InputError("estimate_params needs at least one sample")
-    per_pass = max(1, PASS_FLOATS // len(samples))
-    guess = _predicted_ratio(samples)
+    intervals: dict[int, tuple[float, float]] = {}
 
-    def run_pass(ratios: list[float]) -> None:
-        lo, hi = _alpha_interval(np.array(ratios), samples)
-        intervals.update(zip(ratios, zip(lo.tolist(), hi.tolist())))
+    def run_pass(bits: list[int]) -> None:
+        lo, hi = _alpha_interval(np.array(bits, dtype=np.int64).view(np.float64), samples)
+        intervals.update(zip(bits, zip(lo.tolist(), hi.tolist())))
 
-    def feasible(r: float) -> bool:
-        lo, hi = intervals[r]
+    def feasible(bits: int) -> bool:
+        lo, hi = intervals[bits]
         return lo <= hi
 
-    intervals: dict[float, tuple[float, float]] = {}
-    r_lo, r_hi = 0.0, 1.0 - RATIO_TOL
-    run_pass([r_hi, *_bisection_path(r_lo, r_hi, guess, per_pass)])
-    if not feasible(r_hi):
+    ratios = np.array([RATIO_TOL, 1.0 - RATIO_TOL, _predicted_ratio(samples)])
+    floor, top, guess = ratios.view(np.int64).tolist()
+    guess = min(max(guess, floor), top)  # 0.0 and -0.0 go to the floor, inf and NaN to the top
+    run_pass(sorted({top, floor, max(guess - 1, floor), guess, min(guess + 1, top)}))
+    if not feasible(top):
         return ParamEstimate(False, None, None, None, len(samples))
-    while r_hi - r_lo > RATIO_TOL:
-        mid = 0.5 * (r_lo + r_hi)
-        if mid not in intervals:
-            run_pass(_bisection_path(r_lo, r_hi, guess, per_pass))
-        if feasible(mid):
-            r_hi = mid
+    hi = min(b for b in intervals if feasible(b))
+    lo = max((b for b in intervals if b < hi), default=hi - 1)
+    step = 1
+    while hi - lo > 1:
+        step *= 2
+        mid = (lo + hi) // 2
+        probe = max(hi - step, mid) if hi <= guess else min(lo + step, mid)
+        run_pass([probe])
+        if feasible(probe):
+            hi = probe
         else:
-            r_lo = mid
-
-    r_star = max(r_hi, RATIO_TOL)  # beta must stay positive
-    if r_star not in intervals:
-        run_pass([r_star])
-    lo, hi = intervals[r_star]
-    alpha = min(hi, lo + ALPHA_INSET) if lo > 0 else lo
-    beta = r_star * (1.0 - alpha)
-    return ParamEstimate(True, r_star, float(alpha), float(beta), len(samples))
+            lo = probe
+    image, term, span = samples.image_distance, samples.rational_term, samples.distance_sum
+    finite = np.isfinite(image) & np.isfinite(term) & np.isfinite(span)
+    for bits in range(hi, min(hi + WITNESS_STEPS, top + 1)):
+        if bits not in intervals:
+            run_pass([bits])
+        if not feasible(bits):
+            continue
+        r_star = float(np.int64(bits).view(np.float64))
+        alpha_lo, alpha_hi = intervals[bits]
+        alpha = min(alpha_hi, alpha_lo + ALPHA_INSET) if alpha_lo > 0 else alpha_lo
+        beta = r_star * (1.0 - alpha)
+        with np.errstate(all="ignore"):
+            margins = _margin(alpha, beta, image, term, span)
+        if not (finite & (margins < 0)).any():
+            return ParamEstimate(True, r_star, float(alpha), float(beta), len(samples))
+    raise InputError(f"no witness without a negative margin within {WITNESS_STEPS} floats")

@@ -76,8 +76,13 @@ class ContractionParams:
         the rational part is 0, also where the term is infinite (its quotient
         overflowed) and 0 * inf would make the margin NaN.
         """
-        rational = self.alpha * rational_term if self.alpha else 0.0
-        return rational + 0.5 * self.beta * distance_sum - image_distance
+        return _margin(self.alpha, self.beta, image_distance, rational_term, distance_sum)
+
+
+def _margin(alpha, beta, image_distance, rational_term, distance_sum):
+    """`ContractionParams.margin`, without building params (which warn at alpha = 0)."""
+    rational = alpha * rational_term if alpha else 0.0
+    return rational + 0.5 * beta * distance_sum - image_distance
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,9 +215,13 @@ def margin_terms(
     with D = 2 + d(x,u) + d(y,v), and the distance sum d(x,u) + d(y,v).
     The rational term is always >= 0, its denominator always >= 2, and it
     vanishes whenever either pair is a coupled fixed pair. Each of the four
-    images is evaluated once per row, in blocks of bounded size.
+    images is evaluated once per row, in blocks of bounded size. Stacks
+    that are not all (n, F.dim) with one n raise DimensionMismatchError.
     """
     _check_dims(space, F.lower)
+    shapes = [np.shape(s) for s in (x, y, u, v)]
+    if len(shapes[0]) != 2 or any(shape != (shapes[0][0], F.dim) for shape in shapes):
+        raise DimensionMismatchError(f"expected four (n, {F.dim}) stacks, got {shapes}")
     n = len(x)
     image_distance, rational_term, distance_sum = np.empty(n), np.empty(n), np.empty(n)
     for lo, hi in _sample_blocks(n, F.dim):

@@ -15,7 +15,12 @@ writing the file there only appended entries. The last six, `solve`,
 `certify --samples 50` and `probe-uniqueness --samples 3` on
 configs/integral_100.json with their --json twins, were appended at the
 commit before integral_demo built dyadic kernels from their first row; N =
-100 pins the outer build end to end. --check replays the file
+100 pins the outer build end to end. When the ratio search became an exact
+search for the least feasible float, the 18 `estimate` entries whose output
+changed were re-recorded in place on parent commit 6adc3f2: linear_demo and affine_demo at 200 samples with
+seeds 0 and 1, configs/expr_2d.json at 200 samples with seeds 0 and 1 and at
+500, affine_demo at 100 and linear_demo at the default 10 000, each with its
+--json twin. Every other entry kept its bytes. --check replays the file
 the same way without pytest and never writes it: it prints the first
 differing argv with a unified diff of its stdout or stderr and exits 1, or
 exits 0 when every entry is byte-identical. Entries that exit 1 also keep stderr, so that error
@@ -57,7 +62,7 @@ EXTRA = [
     ["certify", "--config", "configs/expr_ln.json", "--samples", "100"],
     ["certify", "--config", "configs/expr_flip.json", "--samples", "100"],
     ["list-builtins"],
-    # Sample counts that drive each number of bisection levels per pass.
+    # estimate from one sample to the default 10 000
     ["estimate", "--problem", "linear_demo", "--samples", "1"],
     ["estimate", "--problem", "affine_demo", "--samples", "100"],
     ["estimate", "--config", "configs/expr_2d.json", "--samples", "500"],

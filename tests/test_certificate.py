@@ -22,6 +22,7 @@ from coupledfp import (
     estimate_params,
     evaluate_samples,
     explicit_pairs,
+    get_builtin,
     load_problem,
     product_leq,
     rational_min_term,
@@ -34,7 +35,8 @@ from coupledfp.cli import main
 ADVERSARIAL = (Pair([0.1], [-0.29]), Pair([0.01], [-0.02]))
 # -2*x1 + 2*y1 on [-1, 1]: the directed walk from (-1, 1) leaves the box at
 # its first step, to (4, -4).
-EXPR_FLIP = os.path.join(os.path.dirname(__file__), "data", "configs", "expr_flip.json")
+CONFIGS = os.path.join(os.path.dirname(__file__), "data", "configs")
+EXPR_FLIP = os.path.join(CONFIGS, "expr_flip.json")
 
 
 def grid_minimal_ratio(samples, resolution=1e-3):
@@ -72,6 +74,15 @@ class TestSampler:
         assert samples[-5].a.first.tolist() == samples[0].a.first.tolist()
         with pytest.raises(IndexError, match="sample .* of a set of 5"):
             samples[k]
+
+    @pytest.mark.parametrize("k", [np.int64(3), np.int32(-2), np.uint8(3)])
+    def test_numpy_integer_index(self, linear, k):
+        # samples[np.argmin(margins)] is the natural idiom; `_skip` takes
+        # Python ints only
+        samples = sample_comparable_pairs(linear.space, linear.map, 5, 1)
+        assert samples[k].a.first.tolist() == samples[3].a.first.tolist()
+        with pytest.raises(IndexError, match="sample 5 of a set of 5"):
+            samples[np.int64(5)]
 
     def test_negative_count(self, linear):
         with pytest.raises(InputError):
@@ -281,8 +292,9 @@ class TestEstimate:
     def test_linear_demo_ratio_near_half(self, linear):
         samples = sample_comparable_pairs(linear.space, linear.map, 10_000, 42)
         estimate = estimate_params(samples)
-        assert estimate.feasible
-        assert 0.49 <= estimate.ratio <= 0.51
+        # F(x, y) = (x - y) / 4 on [-2, 2]: the image distance is a quarter
+        # of the distance sum, so the least ratio is 1/2 at alpha = 0
+        assert (estimate.ratio, estimate.alpha, estimate.beta) == (0.5, 0.0, 0.5)
         oracle = grid_minimal_ratio(samples)
         assert oracle is not None
         assert abs(estimate.ratio - oracle) <= 3e-3
@@ -341,7 +353,7 @@ class TestEstimate:
         assert s[0].image_distance == 0.0
         estimate = estimate_params(s)
         assert estimate.feasible
-        assert estimate.ratio <= 2e-6  # bisection floor
+        assert estimate.ratio == RATIO_TOL  # the floor
         assert estimate.beta > 0
 
 
@@ -383,7 +395,7 @@ def reference_alpha_interval(r: float, samples: SampleSet) -> tuple[float, float
     zero = ~pos & ~neg
     if np.any(offset[zero] > 0):
         return 1.0, 0.0
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         if np.any(pos):
             lo = max(lo, float(np.fmax.reduce(offset[pos] / slope[pos])))
         if np.any(neg):
@@ -392,7 +404,8 @@ def reference_alpha_interval(r: float, samples: SampleSet) -> tuple[float, float
 
 
 def reference_estimate(samples: SampleSet) -> ParamEstimate:
-    """`estimate_params` as a bisection that tests one midpoint per pass."""
+    """The minimal ratio by a bisection to RATIO_TOL that tests one midpoint
+    per pass: an upper bound on the least feasible float, within RATIO_TOL."""
 
     def feasible(r: float) -> bool:
         lo, hi = reference_alpha_interval(r, samples)
@@ -432,8 +445,7 @@ def first_midpoints(levels: int = 3) -> list[float]:
     return mids
 
 
-# Sample counts at the edges of the midpoints one pass holds: the whole path
-# of 20 up to 409 samples, 2 from 2731 and 1 from 4097.
+# Sample counts drawn besides any in 1..5000, from one sample to thousands.
 EDGE_COUNTS = [1, 2, 409, 410, 2730, 2731, 4096, 4097, 5000]
 
 
@@ -490,6 +502,48 @@ def term_sets(draw):
     return SampleSet((), image, term, span)
 
 
+def float_below(r: float) -> float:
+    return float(np.nextafter(r, 0.0))
+
+
+def float_bits(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+def witness_holds(r: float, samples: SampleSet) -> bool:
+    """Whether ratio r is feasible by `reference_alpha_interval` and the
+    witness picked from its interval has no negative margin on the samples
+    whose three terms are finite."""
+    lo, hi = reference_alpha_interval(r, samples)
+    if not lo <= hi:
+        return False
+    alpha = min(hi, lo + ALPHA_INSET) if lo > 0 else lo
+    beta = r * (1.0 - alpha)
+    image, term, span = samples.image_distance, samples.rational_term, samples.distance_sum
+    finite = np.isfinite(image) & np.isfinite(term) & np.isfinite(span)
+    with np.errstate(all="ignore"):
+        margins = alpha * term[finite] + 0.5 * beta * span[finite] - image[finite]
+    return not (margins < 0).any()
+
+
+def witness_sets():
+    """(label, samples) for the uniform draws of five problems at 50, 200
+    and 1000 samples, seeds 0-14: 225 sets."""
+    problems = [
+        get_builtin("linear_demo"),
+        get_builtin("affine_demo"),
+        load_problem(os.path.join(CONFIGS, "integral_16.json")),
+        load_problem(os.path.join(CONFIGS, "expr_2d.json")),
+        load_problem(os.path.join(CONFIGS, "expr_4d.json")),
+    ]
+    for name, problem in zip(["linear", "affine", "integral_16", "expr_2d", "expr_4d"], problems):
+        for n in (50, 200, 1000):
+            for seed in range(15):
+                yield f"{name} n={n} seed={seed}", sample_comparable_pairs(
+                    problem.space, problem.map, n, seed
+                )
+
+
 class TestRatioSearch:
     @settings(max_examples=150, deadline=None)
     @given(term_sets(), st.lists(st.floats(0.0, 1.0), max_size=4))
@@ -500,48 +554,86 @@ class TestRatioSearch:
             want_lo, want_hi = reference_alpha_interval(r, samples)
             assert same_float(lo[i], want_lo) and same_float(hi[i], want_hi)
 
-        with counted_passes() as passes:
-            got = estimate_params(samples)
-        want = reference_estimate(samples)
-        assert (got.feasible, got.ratio, got.beta, got.sample_count) == (
-            want.feasible,
-            want.ratio,
-            want.beta,
-            want.sample_count,
-        )
-        assert got.alpha is want.alpha is None or same_float(got.alpha, want.alpha)
-        # every pass decides at least one of the 20 levels; one more for the floor
-        assert len(passes) <= 21
+        got = estimate_params(samples)
+        bisection = reference_estimate(samples)
+        assert got.feasible is bisection.feasible
+        assert got.sample_count == len(samples)
+        if not got.feasible:
+            assert got.ratio is got.alpha is got.beta is None
+            return
+        # r* holds, the float below it does not (unless r* is the floor),
+        # and r* is at most the bisection's answer
+        r = got.ratio
+        assert witness_holds(r, samples)
+        assert r == RATIO_TOL or not witness_holds(float_below(r), samples)
+        assert RATIO_TOL <= r <= bisection.ratio
+        lo, hi = reference_alpha_interval(r, samples)
+        want_alpha = min(hi, lo + ALPHA_INSET) if lo > 0 else lo
+        assert same_float(got.alpha, want_alpha)
+        assert got.beta == r * (1.0 - want_alpha)
 
     @pytest.mark.parametrize(
-        "n, passes, floor", [(None, 1, True), (1, 1, False), (300, 1, False), (10_000, 20, False)]
-    )
-    def test_pass_count(self, linear, n, passes, floor):
-        samples = linear_samples(linear, n)
-        with counted_passes() as sizes:
-            estimate = estimate_params(samples)
-        assert (estimate.ratio == RATIO_TOL) is floor
-        # Bisecting (0, 1 - RATIO_TOL) down to RATIO_TOL takes 20 levels. Up
-        # to PASS_FLOATS // 20 samples the first pass tests the top ratio,
-        # the whole predicted path and the floor when the path ends below
-        # it; from PASS_FLOATS / 2 samples a pass holds one midpoint.
-        assert len(sizes) == passes
-        assert sizes[0] == (1 + 20 + floor if passes == 1 else 2)
-
-    @pytest.mark.parametrize(
-        "rows",
-        [[(math.inf, math.inf, 0.0)], [(math.inf, math.inf, 0.0), (0.1, 0.0, 1.0)]],
+        "rows, ratio",
+        [
+            ([(math.inf, math.inf, 0.0)], RATIO_TOL),
+            ([(math.inf, math.inf, 0.0), (0.1, 0.0, 1.0)], 0.2),
+        ],
         ids=["nan-quotient", "nan-quotient-and-a-line"],
     )
-    def test_zero_span_nan_quotient_takes_one_pass(self, rows):
+    def test_zero_span_nan_quotient_takes_one_pass(self, rows, ratio):
         # (image distance, rational term, distance sum): inf / inf bounds no
-        # alpha, in the guess as in `_alpha_interval`
+        # alpha, in the guess as in `_alpha_interval`; the line asks for
+        # r >= 2 * 0.1 / 1 exactly, which the guess finds
         image, term, span = np.array(rows).T
         samples = SampleSet((), image, term, span)
         with counted_passes() as passes:
             got = estimate_params(samples)
         assert len(passes) == 1
-        assert got == reference_estimate(samples)
+        assert got == ParamEstimate(True, ratio, 0.0, ratio, len(rows))
+
+    def test_infinite_term_is_exempt_from_the_witness_rule(self, linear):
+        # An infinite rational term at a zero distance sum allows alpha = 0
+        # at every ratio, and the witness alpha = 0 then has margin -1 there,
+        # which no ratio mends: the row is left out of the margin rule.
+        trap = SampleSet((), np.array([1.0]), np.array([math.inf]), np.array([0.0]))
+        got = estimate_params(trap)
+        assert got == ParamEstimate(True, RATIO_TOL, 0.0, RATIO_TOL, 1)
+        with pytest.warns(UserWarning):
+            params = ContractionParams(got.alpha, got.beta)
+        assert params.margin(1.0, math.inf, 0.0) == -1.0
+        # beside drawn samples it changes nothing
+        samples = sample_comparable_pairs(linear.space, linear.map, 300, 42)
+        assert estimate_params(samples + trap).ratio == estimate_params(samples).ratio
+
+    def test_witnesses_hold_on_their_own_samples(self):
+        # The least feasible float's witness has a negative margin on 10 of
+        # these sets; each estimate steps up until its witness has none.
+        stepped = []
+        for name, samples in witness_sets():
+            got = estimate_params(samples)
+            margins = (
+                got.alpha * samples.rational_term
+                + 0.5 * got.beta * samples.distance_sum
+                - samples.image_distance
+            )
+            assert (margins >= 0).all(), name
+            lo, hi = certificate._alpha_interval(np.array([float_below(got.ratio)]), samples)
+            if got.ratio > RATIO_TOL and lo[0] <= hi[0]:
+                stepped.append(name)
+        assert len(stepped) == 10
+
+    def test_witness_steps_are_capped(self, monkeypatch):
+        # expr_2d at 200 samples, seed 0: the witness needs one step up
+        problem = load_problem(os.path.join(CONFIGS, "expr_2d.json"))
+        samples = sample_comparable_pairs(problem.space, problem.map, 200, 0)
+        got = estimate_params(samples)
+        assert witness_holds(got.ratio, samples)
+        below = float_below(got.ratio)
+        lo, hi = reference_alpha_interval(below, samples)
+        assert lo <= hi and not witness_holds(below, samples)
+        monkeypatch.setattr(certificate, "WITNESS_STEPS", 1)
+        with pytest.raises(InputError, match="within 1 floats"):
+            estimate_params(samples)
 
     @pytest.mark.parametrize("guess", [0.0, 0.999, math.nan])
     @pytest.mark.parametrize("n", [None, 1, 300, 3000, "infeasible"])
@@ -555,7 +647,11 @@ class TestRatioSearch:
         with counted_passes() as passes:
             got = json.dumps(estimate_params(samples).to_jsonable())
         assert got == want
-        assert len(passes) <= 21
+        # the first pass, then one float per pass: doubling out from the
+        # guess and halving back each take at most one pass per bit of the
+        # floats between the floor and the top
+        span = float_bits(1.0 - RATIO_TOL) - float_bits(RATIO_TOL)
+        assert len(passes) <= 1 + 2 * span.bit_length()
 
 
 def linear_samples(linear, n):

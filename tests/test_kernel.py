@@ -14,6 +14,7 @@ import pytest
 from coupledfp import (
     ContractionParams,
     CoupledMap,
+    DimensionMismatchError,
     DomainError,
     Pair,
     SpaceDescriptor,
@@ -164,6 +165,30 @@ def test_out_of_box_row_named_before_later_failures(F):
     with pytest.raises(DomainError) as info:
         margin_terms(SPACE2, F, x, y, u, v)
     assert str(info.value) == expected
+
+
+def _rows(n, dim=2):
+    return np.zeros((n, dim))
+
+
+@pytest.mark.parametrize(
+    "stacks",
+    [
+        (_rows(3), _rows(3), _rows(3), _rows(2)),
+        (_rows(2), _rows(3), _rows(3), _rows(3)),
+        (np.zeros(2),) * 4,
+        (_rows(3, 1),) * 4,
+        (_rows(0, 1),) * 4,
+        (np.zeros((1, 3, 2)),) * 4,
+    ],
+    ids=["last-shorter", "first-shorter", "one-dim", "wrong-dim", "empty-wrong-dim", "three-dim"],
+)
+def test_margin_terms_rejects_stacks_of_wrong_shape(stacks):
+    F = CoupledMap("difference", 2, lambda x, y: 0.25 * (x - y), [-1.0, -1.0], [1.0, 1.0])
+    shapes = [s.shape for s in stacks]
+    with pytest.raises(DimensionMismatchError) as info:
+        margin_terms(SPACE2, F, *stacks)
+    assert str(info.value) == f"expected four (n, 2) stacks, got {shapes}"
 
 
 MONOTONE_MAPS = [
