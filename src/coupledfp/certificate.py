@@ -9,15 +9,16 @@ report reads "not falsified at N samples, worst margin m" -- never "holds".
 
 Samples live in a `SampleSet`, one row per ordered pair of pairs, and
 scoring (`evaluate_samples`, `estimate_params`) takes nothing else. Three
-builders make one: `sample_comparable_pairs` (the uniform draw),
+builders pick a family, `sample_comparable_pairs` (the uniform draw),
 `directed_pairs` (diagonals, box extremes and a short iteration walk) and
-`explicit_pairs` (hand-made pairs), and `+` joins sets. Violations like to
-hide near thin sets where the rational term vanishes, so `certify_region`
-always mixes the directed family into the uniform draw.
+`explicit_pairs` (hand-made pairs), and one scorer makes each set; `+`
+joins sets. Violations like to hide near thin sets where the rational term
+vanishes, so `certify_region` always mixes in the directed family.
 """
 
 from __future__ import annotations
 
+import contextlib
 import operator
 from dataclasses import dataclass
 from typing import ClassVar
@@ -137,8 +138,8 @@ class SampleSet:
     and the uniform family of `sample_comparable_pairs` keeps none and draws
     them again from its seed, without evaluating the map. The three (n,)
     term arrays are those of `margin_terms` and run over all samples.
-    Indexing and iteration yield a `SamplePair` with its own copy of the
-    row; `+` joins two sets.
+    Indexing, and so iteration, yields a `SamplePair` with its own copy of
+    the row (InputError if no family holds it); `+` joins two sets.
     """
 
     parts: tuple[_HeldFamily | _UniformFamily, ...]
@@ -160,6 +161,8 @@ class SampleSet:
             if row < len(part):
                 break
             row -= len(part)
+        else:
+            raise InputError(f"sample {k} is held by no family of the set, only its terms")
         a_first, a_second, b_first, b_second = (s[0].copy() for s in part.rows(row, row + 1))
         return SamplePair(
             Pair(a_first, a_second),
@@ -168,9 +171,6 @@ class SampleSet:
             float(self.rational_term[k]),
             float(self.distance_sum[k]),
         )
-
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
 
     def __add__(self, other: "SampleSet") -> "SampleSet":
         if not isinstance(other, SampleSet):
@@ -183,13 +183,15 @@ class SampleSet:
         )
 
 
-def _sample_set(
-    space: SpaceDescriptor, F: CoupledMap, a_first, a_second, b_first, b_second
-) -> SampleSet:
-    """The SampleSet of (n, dim) coordinate stacks already ordered b <= a."""
-    stacks = (a_first, a_second, b_first, b_second)
-    parts = (_HeldFamily(stacks),) if len(a_first) else ()
-    return SampleSet(parts, *margin_terms(space, F, *stacks))
+def _scored(space: SpaceDescriptor, F: CoupledMap, family) -> SampleSet:
+    """The SampleSet of a family (anything with ``len`` and ``rows(lo, hi)``),
+    scored one `maps._sample_blocks` block of rows at a time; ``space`` is
+    checked against ``F`` as `margin_terms` does, also for no rows."""
+    _check_dims(space, F.lower)
+    terms = np.empty((3, len(family)))
+    for lo, hi in _sample_blocks(len(family), F.dim):
+        terms[:, lo:hi] = margin_terms(space, F, *family.rows(lo, hi))
+    return SampleSet((family,) if len(family) else (), *terms)
 
 
 def explicit_pairs(
@@ -201,7 +203,7 @@ def explicit_pairs(
     a_first, a_second, b_first, b_second = rows.reshape(-1, 4, space.dim).transpose(1, 0, 2)
     if not rows_product_leq(b_first, b_second, a_first, a_second).all():
         raise InputError("sample pairs require b <= a in the pair order")
-    return _sample_set(space, F, a_first, a_second, b_first, b_second)
+    return _scored(space, F, _HeldFamily((a_first, a_second, b_first, b_second)))
 
 
 def sample_comparable_pairs(
@@ -219,12 +221,8 @@ def sample_comparable_pairs(
     asked for later is drawn again.
     """
     _positive_int(count, "count must be >= 0, got {!r}", minimum=0)
-    _check_dims(space, F.lower)  # as margin_terms does, also for a count of 0
-    family = _UniformFamily(F, count, rng_seed, _pair_width(space, F))
-    terms = np.empty((3, count))
-    for lo, hi in _sample_blocks(count, F.dim):
-        terms[:, lo:hi] = margin_terms(space, F, *family.rows(lo, hi))
-    return SampleSet((family,) if count else (), *terms)
+    _check_dims(space, F.lower)  # before `_pair_width`, which checks no dims
+    return _scored(space, F, _UniformFamily(F, count, rng_seed, _pair_width(space, F)))
 
 
 def directed_pairs(space: SpaceDescriptor, F: CoupledMap) -> SampleSet:
@@ -251,15 +249,15 @@ def directed_pairs(space: SpaceDescriptor, F: CoupledMap) -> SampleSet:
     candidates = [(p, q, p, q) for p in (lo, mid, hi) for q in (lo, mid, hi)]
     candidates += [(hi, lo, lo, hi), (mid, mid, lo, hi), (hi, lo, mid, mid)]
 
-    x, y = lo, hi
+    xy = np.stack((lo, hi))
     try:
         for _ in range(WALK_STEPS):
-            # F(x, y) and F(y, x) in one stacked call, which evaluates
-            # nothing when x or y lies outside the box. The rows are copied:
-            # the evaluator may hand back one buffer on every call.
-            x_next, y_next = F.evaluate_rows(np.stack((x, y)), np.stack((y, x))).copy()
-            candidates.append((x_next, y_next, x, y))
-            x, y = x_next, y_next
+            # F(x, y) and F(y, x) in one call on xy = (x, y) and its reversed
+            # view, which evaluates nothing when x or y lies outside the box.
+            # The images are copied: the evaluator may reuse its buffer.
+            xy_next = F.evaluate_rows(xy, xy[::-1]).copy()
+            candidates.append((*xy_next, *xy))
+            xy = xy_next
     except DomainError:
         pass  # walk left the box; keep what we have
 
@@ -268,7 +266,8 @@ def directed_pairs(space: SpaceDescriptor, F: CoupledMap) -> SampleSet:
     # gives a_first >= lo and a_second <= hi, and a <= (hi, lo) gives the rest.
     keep = rows_product_leq(b_first, b_second, a_first, a_second)
     keep &= rows_product_leq(a_first, a_second, hi, lo)
-    return _sample_set(space, F, a_first[keep], a_second[keep], b_first[keep], b_second[keep])
+    stacks = (a_first[keep], a_second[keep], b_first[keep], b_second[keep])
+    return _scored(space, F, _HeldFamily(stacks))
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,17 +309,16 @@ def evaluate_samples(params: ContractionParams, samples: SampleSet) -> Certifica
     """Margins of a fixed sample set under one parameter choice.
 
     Aggregation is a count and a min, so it is order independent; the worst
-    pair is the first sample with the least margin. A margin that is not
-    >= 0, NaN included, is a violation (a NaN margin is also the worst).
+    pair is the first sample with the least margin, None if no family holds
+    it. A margin not >= 0, NaN included, is a violation (and, if NaN, the worst).
     """
     margins = params.margin(samples.image_distance, samples.rational_term, samples.distance_sum)
+    worst_margin = worst_pair = None
     if len(margins):
         worst_idx = int(np.argmin(margins))
-        worst_margin: float | None = float(margins[worst_idx])
-        worst_pair: SamplePair | None = samples[worst_idx]
-    else:
-        worst_margin = None
-        worst_pair = None
+        worst_margin = float(margins[worst_idx])
+        with contextlib.suppress(InputError):
+            worst_pair = samples[worst_idx]
     return CertificateReport(
         sample_count=len(samples),
         violations=int(np.count_nonzero(~(margins >= 0))),

@@ -20,12 +20,18 @@ search for the least feasible float, the 18 `estimate` entries whose output
 changed were re-recorded in place on parent commit 6adc3f2: linear_demo and affine_demo at 200 samples with
 seeds 0 and 1, configs/expr_2d.json at 200 samples with seeds 0 and 1 and at
 500, affine_demo at 100 and linear_demo at the default 10 000, each with its
---json twin. Every other entry kept its bytes. --check replays the file
-the same way without pytest and never writes it: it prints the first
-differing argv with a unified diff of its stdout or stderr and exits 1, or
-exits 0 when every entry is byte-identical. Entries that exit 1 also keep stderr, so that error
-messages naming the first bad row stay pinned. Config paths in argv are
-relative to this directory.
+--json twin. Every other entry kept its bytes. The last four pin the
+failure paths, recorded at parent commit 9f14550 of the change that scored
+every sample family through one function, which printed the first 134
+entries byte for byte: `probe-uniqueness --samples 3` on
+configs/expr_flip.json, where two seeds diverge and the limits disagree
+(exit 2), and `solve` on configs/expr_expand_off.json, which diverges
+(exit 3), each with its --json twin. --check replays the file the same way
+without pytest and never writes it: it prints the first differing argv
+with a unified diff of its stdout or stderr and exits 1, or exits 0 when
+every entry is byte-identical. Entries that exit 1 or 3 also keep stderr,
+so that error messages naming the first bad row, and the divergence line,
+stay pinned. Config paths in argv are relative to this directory.
 """
 
 from __future__ import annotations
@@ -72,6 +78,9 @@ EXTRA = [
     ["solve", "--config", "configs/integral_100.json"],
     ["certify", "--config", "configs/integral_100.json", "--samples", "50"],
     ["probe-uniqueness", "--config", "configs/integral_100.json", "--samples", "3"],
+    # failure paths: two seeds diverge (exit 2), and a solve diverges (exit 3)
+    ["probe-uniqueness", "--config", "configs/expr_flip.json", "--samples", "3"],
+    ["solve", "--config", "configs/expr_expand_off.json"],
 ]
 
 
@@ -155,7 +164,7 @@ def main() -> None:
     for argv in invocations():
         code, stdout, stderr = run(cli_main, argv)
         entry = {"argv": argv, "exit": code, "stdout": stdout}
-        if code == 1:
+        if code in (1, 3):
             entry["stderr"] = stderr
         entries.append(entry)
         print(code, " ".join(argv), file=sys.stderr)

@@ -243,6 +243,20 @@ class TestCertify:
         assert report.min_margin_pair is None
         assert report.to_jsonable()["min_margin_pair"] is None
 
+    @pytest.mark.parametrize("held, image", [(0, [1.0, 0.2]), (1, [0.2, 1.0])])
+    def test_set_without_the_worst_row_reports_no_pair(self, linear, held, image):
+        # margins -0.75 and 0.05 at (0.1, 0.5), in either order; the set has
+        # no family (terms alone), or one that holds only the first row
+        still = (Pair([0.5], [0.5]), Pair([0.5], [0.5]))
+        parts = explicit_pairs(linear.space, linear.map, [still] * held).parts
+        samples = SampleSet(parts, np.array(image), np.zeros(2), np.ones(2))
+        report = evaluate_samples(ContractionParams(0.1, 0.5), samples)
+        assert (report.worst_margin, report.violations) == (-0.75, 1)
+        assert report.min_margin_pair is None
+        assert report.to_jsonable()["min_margin_pair"] is None
+        with pytest.raises(InputError, match="sample 1 is held by no family of the set"):
+            samples[-1]
+
     def test_nan_margin_is_a_violation(self, linear):
         # two diagonal pairs with margin 0; a NaN term makes the second NaN
         still = (Pair([0.5], [0.5]), Pair([0.5], [0.5]))

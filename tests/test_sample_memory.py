@@ -6,6 +6,7 @@ for later is drawn again from the seed. The references here draw every
 stack in one call, the layout the blocks must reproduce.
 """
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -16,9 +17,11 @@ from coupledfp import (
     CoupledMap,
     SpaceDescriptor,
     certify_region,
+    directed_pairs,
     estimate_params,
     evaluate_samples,
     get_builtin,
+    load_problem,
     margin_terms,
     mixed_monotone_check,
     sample_comparable_pairs,
@@ -141,6 +144,26 @@ def test_every_row_of_a_two_block_set():
     want = one_shot_stacks(F, 4097, 5)
     for k, s in enumerate(samples):
         assert same_bytes((s.a.first, s.a.second, s.b.first, s.b.second), [w[k] for w in want])
+
+
+@pytest.mark.parametrize("problem", ["linear_demo", "integral_16.json"])
+def test_iteration_crosses_families(problem):
+    # iteration runs through indexing, from the uniform rows into the directed
+    if problem.endswith(".json"):
+        prob = load_problem(os.path.join(os.path.dirname(__file__), "data", "configs", problem))
+    else:
+        prob = get_builtin(problem)
+    uniform = sample_comparable_pairs(prob.space, prob.map, 30, 2)
+    directed = directed_pairs(prob.space, prob.map)
+    samples = uniform + directed
+    rows = list(samples)
+    assert len(rows) == len(samples) == len(uniform) + len(directed) > len(uniform)
+    for k, (s, part) in enumerate(zip(rows, [*uniform, *directed], strict=True)):
+        for pair in (samples[k], part):
+            assert same_bytes((s.a.first, s.a.second, s.b.first, s.b.second),
+                              (pair.a.first, pair.a.second, pair.b.first, pair.b.second))
+            assert (s.image_distance, s.rational_term, s.distance_sum) == (
+                pair.image_distance, pair.rational_term, pair.distance_sum)
 
 
 def peak_mib(call):
