@@ -18,7 +18,6 @@ vanishes, so `certify_region` always mixes in the directed family.
 
 from __future__ import annotations
 
-import contextlib
 import operator
 from dataclasses import dataclass
 from typing import ClassVar
@@ -139,7 +138,8 @@ class SampleSet:
     them again from its seed, without evaluating the map. The three (n,)
     term arrays are those of `margin_terms` and run over all samples.
     Indexing, and so iteration, yields a `SamplePair` with its own copy of
-    the row (InputError if no family holds it); `+` joins two sets.
+    the row (InputError if no family holds it); `+` joins two sets, and
+    only one whose families hold every row can stand on its left.
     """
 
     parts: tuple[_HeldFamily | _UniformFamily, ...]
@@ -175,6 +175,8 @@ class SampleSet:
     def __add__(self, other: "SampleSet") -> "SampleSet":
         if not isinstance(other, SampleSet):
             return NotImplemented
+        if sum(map(len, self.parts)) != len(self):  # other's rows would shift
+            raise InputError("only a set whose families hold every row joins on the left of +")
         return SampleSet(
             self.parts + other.parts,
             np.concatenate([self.image_distance, other.image_distance]),
@@ -252,9 +254,8 @@ def directed_pairs(space: SpaceDescriptor, F: CoupledMap) -> SampleSet:
     xy = np.stack((lo, hi))
     try:
         for _ in range(WALK_STEPS):
-            # F(x, y) and F(y, x) in one call on xy = (x, y) and its reversed
-            # view, which evaluates nothing when x or y lies outside the box.
-            # The images are copied: the evaluator may reuse its buffer.
+            # F(x, y) and F(y, x) in one call on xy and its reversed view (it evaluates
+            # nothing if x or y left the box); copied, as the evaluator may reuse its buffer.
             xy_next = F.evaluate_rows(xy, xy[::-1]).copy()
             candidates.append((*xy_next, *xy))
             xy = xy_next
@@ -317,7 +318,7 @@ def evaluate_samples(params: ContractionParams, samples: SampleSet) -> Certifica
     if len(margins):
         worst_idx = int(np.argmin(margins))
         worst_margin = float(margins[worst_idx])
-        with contextlib.suppress(InputError):
+        if worst_idx < sum(map(len, samples.parts)):  # + keeps held rows first
             worst_pair = samples[worst_idx]
     return CertificateReport(
         sample_count=len(samples),

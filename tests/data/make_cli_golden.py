@@ -25,8 +25,9 @@ failure paths, recorded at parent commit 9f14550 of the change that scored
 every sample family through one function, which printed the first 134
 entries byte for byte: `probe-uniqueness --samples 3` on
 configs/expr_flip.json, where two seeds diverge and the limits disagree
-(exit 2), and `solve` on configs/expr_expand_off.json, which diverges
-(exit 3), each with its --json twin. --check replays the file the same way
+(exit 2), and `solve` on diverging/expr_expand_off.json, which diverges
+(exit 3), each with its --json twin; that config sits outside configs/,
+whose every file tests/test_cli.py requires to print JSON. --check replays the file the same way
 without pytest and never writes it: it prints the first differing argv
 with a unified diff of its stdout or stderr and exits 1, or exits 0 when
 every entry is byte-identical. Entries that exit 1 or 3 also keep stderr,
@@ -80,7 +81,7 @@ EXTRA = [
     ["probe-uniqueness", "--config", "configs/integral_100.json", "--samples", "3"],
     # failure paths: two seeds diverge (exit 2), and a solve diverges (exit 3)
     ["probe-uniqueness", "--config", "configs/expr_flip.json", "--samples", "3"],
-    ["solve", "--config", "configs/expr_expand_off.json"],
+    ["solve", "--config", "diverging/expr_expand_off.json"],
 ]
 
 

@@ -257,6 +257,24 @@ class TestCertify:
         with pytest.raises(InputError, match="sample 1 is held by no family of the set"):
             samples[-1]
 
+    def test_set_without_rows_joins_only_on_the_right(self, linear):
+        # on the left, its missing rows would shift every row of the right set
+        still = (Pair([0.5], [0.5]), Pair([0.5], [0.5]))
+        pinned = explicit_pairs(linear.space, linear.map, [still])
+        terms_only = SampleSet((), np.array([1.0, 0.2]), np.zeros(2), np.ones(2))
+        with pytest.raises(InputError, match="families hold every row joins on the left"):
+            terms_only + pinned
+        samples = pinned + terms_only
+        assert len(samples) == 3
+        assert samples[0].a.first.tolist() == [0.5]
+        assert samples.image_distance.tolist() == [pinned[0].image_distance, 1.0, 0.2]
+        for k in (1, 2):
+            with pytest.raises(InputError, match=f"sample {k} is held by no family"):
+                samples[k]
+        report = evaluate_samples(ContractionParams(0.1, 0.5), samples)
+        assert (report.worst_margin, report.violations) == (-0.75, 1)
+        assert report.min_margin_pair is None
+
     def test_nan_margin_is_a_violation(self, linear):
         # two diagonal pairs with margin 0; a NaN term makes the second NaN
         still = (Pair([0.5], [0.5]), Pair([0.5], [0.5]))

@@ -454,7 +454,7 @@ class TestJsonEncoder:
     @pytest.mark.parametrize("config", CONFIGS, ids=os.path.basename)
     def test_cli_output_is_indented_sorted_json(self, capsys, argv, config):
         code, out, _ = run_cli(capsys, *argv, "--config", config, "--json")
-        if code in (1, 3):  # an input error or a divergence prints nothing on stdout
+        if code == 1:  # an input error prints nothing on stdout
             assert out == ""
         else:
             assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"

@@ -1,5 +1,5 @@
 """Every invocation pinned in data/cli_golden.json gives the same exit code
-and byte-identical stdout (and, for input errors, stderr)."""
+and byte-identical stdout (and, for input errors and divergences, stderr)."""
 
 import json
 import os
