@@ -114,11 +114,25 @@ def affine_demo() -> ProblemSpec:
 def _kernel_product(kernel: np.ndarray, d: np.ndarray) -> np.ndarray:
     """kernel @ row for each row of the (n, N) stack d, as an (n, N) stack.
 
-    One (1, N) @ (N, N) product per row rounds as kernel @ row does; a
-    single d @ kernel.T over the stack (one matrix product) rounds
-    differently. Kept apart so that tests can count the rows sent through it.
+    Each element is one OpenBLAS gemv_t dot product over all N columns, as
+    in kernel @ row; one d @ kernel.T (a GEMM) rounds differently. A row
+    also rounds differently where a BLAS thread's chunk of kernel rows
+    starts off a 4-row boundary. So a kernel of over 2^19 floats with
+    N % 16 == 0 is taken in cache-sized slices of
+    B = max(16, (2^19 // N) // 16 * 16) rows, the whole stack per slice:
+    with N and B multiples of 16 every chunk of a 1-, 2- or 4-thread split
+    starts on one. Other N (1020 splits off the boundary for any B) and a
+    lone row keep one call. Kept apart so that tests can count the rows
+    sent through it.
     """
-    return (d[:, None, :] @ kernel.T)[:, 0, :]
+    n = kernel.shape[0]
+    if n % 16 or n * n <= 1 << 19 or len(d) < 2:
+        return (d[:, None, :] @ kernel.T)[:, 0, :]
+    rows = max(16, (1 << 19) // n // 16 * 16)
+    out = np.empty((len(d), n))
+    for lo in range(0, n, rows):
+        np.matmul(d[:, None, :], kernel[lo:lo + rows].T, out=out[:, None, lo:lo + rows])
+    return out
 
 
 def _share_rows(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -177,6 +177,30 @@ class TestIntegralSharedProducts:
             assert F.evaluator(x[None], y[None]).tobytes() == expected.tobytes()
             assert F.evaluate(x, y).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize(
+        "n, slices",
+        [(1040, 3), (2048, 8), (1500, 0)],
+        ids=["1040-uneven-last-slice", "2048-eight-slices", "1500-one-call"],
+    )
+    def test_sliced_products_match_reference(self, monkeypatch, n, slices):
+        # 1040 is sliced 496/496/48 rows, 2048 in 256-row slices; 1500 is
+        # not a multiple of 16 and keeps one product over the whole kernel.
+        calls = []
+        matmul = np.matmul
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counting)
+        F = get_builtin("integral_demo", n).map
+        rng = np.random.default_rng(n)
+        for X, Y in (sharing_stack(rng, n), rng.uniform(-2.0, 2.0, (2, 40, n))):
+            calls.clear()
+            expected = integral_reference(n, X, Y).tobytes()
+            assert F.evaluate_rows(X, Y).tobytes() == expected
+            assert len(calls) == slices
+
     def test_certify_runs_half_the_map_rows(self, kernel_rows):
         spec = get_builtin("integral_demo", 16)
         samples = sample_comparable_pairs(spec.space, spec.map, 2500, rng_seed=3)
