@@ -251,14 +251,15 @@ def directed_pairs(space: SpaceDescriptor, F: CoupledMap) -> SampleSet:
     candidates = [(p, q, p, q) for p in (lo, mid, hi) for q in (lo, mid, hi)]
     candidates += [(hi, lo, lo, hi), (mid, mid, lo, hi), (hi, lo, mid, mid)]
 
-    xy = np.stack((lo, hi))
+    xyx = np.stack((lo, hi, lo))
     try:
         for _ in range(WALK_STEPS):
-            # F(x, y) and F(y, x) in one call on xy and its reversed view (it evaluates
-            # nothing if x or y left the box); copied, as the evaluator may reuse its buffer.
-            xy_next = F.evaluate_rows(xy, xy[::-1]).copy()
-            candidates.append((*xy_next, *xy))
-            xy = xy_next
+            # F(x, y) and F(y, x) in one call on [x; y; x] (it evaluates nothing if x
+            # or y left the box); copied, as the evaluator may reuse its buffer.
+            img = F._swap_images(xyx)
+            xyx_next = np.concatenate((img, img[:1]))
+            candidates.append((*xyx_next[:2], *xyx[:2]))
+            xyx = xyx_next
     except DomainError:
         pass  # walk left the box; keep what we have
 

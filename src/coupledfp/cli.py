@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -47,20 +48,44 @@ def _vec(arr: np.ndarray) -> str:
     return "[" + ", ".join(_fmt(c) for c in arr) + "]"
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _float_leaf(v: float) -> str:
+    return float.__repr__(v) if math.isfinite(v) else json.dumps(v)
+
+
+# The text json.dumps gives a leaf of each exact type; any other leaf,
+# a subclass included, goes through json.dumps itself.
+_LEAVES = {
+    str: _quote,
+    float: _float_leaf,
+    int: int.__repr__,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+# Number lists up to this long are cheaper to write leaf by leaf than in one
+# json.dumps call.
+_LEAF_BY_LEAF = 8
+
+
 def _dumps(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for str-keyed payloads.
 
     ``indent=2`` makes json run its pure-Python encoder on every leaf. Here
-    each leaf, and each list of plain floats and ints as a whole, goes
-    through the C encoder instead; floats print as ``float.__repr__`` either
-    way, so the text is the same.
+    each leaf is written by the encoder json uses for its type (`_LEAVES`),
+    and each long list of plain floats and ints as a whole by the C
+    encoder, so the text is the same.
     """
+    leaf = _LEAVES.get(type(value))
+    if leaf is not None:
+        return leaf(value)
     inner = indent + "  "
     if isinstance(value, dict) and value:
-        items = [f"{json.dumps(k)}: {_dumps(value[k], inner)}" for k in sorted(value)]
+        items = [f"{_quote(k)}: {_dumps(value[k], inner)}" for k in sorted(value)]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if isinstance(value, (list, tuple)) and value:
-        if {float, int}.issuperset(map(type, value)):
+        if len(value) > _LEAF_BY_LEAF and {float, int}.issuperset(map(type, value)):
             # A number's text holds no ", ", so this splits at separators only.
             items = json.dumps(value)[1:-1].split(", ")
         else:

@@ -11,11 +11,14 @@ iteration, checks the seed condition, verifies the resulting pair, audits
 the monotone chain structure, and probes uniqueness from several seeds.
 
 There is one iteration loop, `_run`, which steps a stack of seeds with one
-`CoupledMap.evaluate_rows` call per step. `iterate` (and so `solve`) is its
-one-seed run; `uniqueness_probe` runs it on all seeds at once, so each probe
-run equals `iterate` from its seed alone, float for float. Iterates are
-checked against the map's padded box (`CoupledMap`), so they may drift past
-the strict domain box before divergence is called.
+map call per step: `CoupledMap._swap_images` on the stack [x; y; x], which
+is `evaluate_rows([x; y], [y; x])` with one bounds comparison. `iterate`
+(and so `solve`) is its one-seed run; `uniqueness_probe` runs it on all
+seeds at once, so each probe run equals `iterate` from its seed alone,
+float for float, and then measures the limits' diameter in O(S) where the
+metric allows. Iterates are checked against the map's padded box
+(`CoupledMap`), so they may drift past the strict domain box before
+divergence is called.
 """
 
 from __future__ import annotations
@@ -156,12 +159,13 @@ def verify_coupled_fixed_point(
 ) -> tuple[bool, float]:
     """Residual max(d(F(x,y), x), d(F(y,x), y)) and whether it is <= tol.
 
-    One `evaluate_rows([x; y], [y; x])` call and one `row_distances` call,
-    the computation of `_run`'s final check.
+    One map call on the stack [x; y; x] (`CoupledMap._swap_images`, which
+    is `evaluate_rows([x; y], [y; x])`) and one `row_distances` call, the
+    computation of `_run`'s final check.
     """
     _check_dims(space, F.lower)
     xyx = np.stack((pair.first, pair.second, pair.first))
-    img = F.evaluate_rows(xyx[:2], xyx[1:])
+    img = F._swap_images(xyx)
     residual = float(row_distances(space, img, xyx[:2]).max())
     return residual <= tol, residual
 
@@ -171,23 +175,24 @@ def _step_images(F: CoupledMap, live: np.ndarray, xyx: np.ndarray, errors: list,
 
     ``xyx`` is the (3m, dim) stack [x; y; x] of their rows, so that
     cur = [x; y] and swapped = [y; x] are its first and last 2m rows and
-    one call evaluates both images of every seed. If that call raises
-    DomainError, each seed is redone as its own two-row call: a seed whose
-    call fails gets a DivergenceError saying that its ``what`` escaped the
-    padded box, chained from the DomainError, and is dropped. Returns the
-    seeds kept, their stack and its (2m, dim) images. These may be the
-    evaluator's own output buffer, which its next call can overwrite.
+    one `CoupledMap._swap_images` call evaluates both images of every seed.
+    If that call raises DomainError, each seed is redone as its own call on
+    its three rows [x; y; x]: a seed whose call fails gets a DivergenceError
+    saying that its ``what`` escaped the padded box, chained from the
+    DomainError, and is dropped. Returns the seeds kept, their stack and its
+    (2m, dim) images. These may be the evaluator's own output buffer, which
+    its next call can overwrite.
     """
     m = len(live)
     try:
-        return live, xyx, F.evaluate_rows(xyx[: 2 * m], xyx[m:], padded=True)
+        return live, xyx, F._swap_images(xyx, padded=True)
     except DomainError:
         pass
     img = np.empty((2, m, F.dim))
     kept = np.ones(m, dtype=bool)
     for k in range(m):
         try:
-            img[:, k] = F.evaluate_rows(xyx[[k, m + k]], xyx[[m + k, k]], padded=True)
+            img[:, k] = F._swap_images(xyx[[k, m + k, k]], padded=True)
         except DomainError as exc:
             error = DivergenceError(f"{what} escaped the padded domain box: {exc}")
             error.__cause__ = exc
@@ -209,11 +214,12 @@ def _run(
     X and Y are (S, dim) stacks of finite seed rows, owned by the run: it
     writes each seed's last iterate over its rows. The m seeds still
     running form the stack cur = [x; y] of 2m rows, and each step is one
-    `evaluate_rows(cur, [y; x])` call, whose images [F(x, y); F(y, x)] are
-    the next stack, and one `row_distances` call for both gaps. Each seed
-    stops on its own stopping rule; only at a step where some seed stops,
-    or at ``max_iter``, are the stopped seeds' last iterates, step counts
-    and stop flags written out and their rows dropped from the stack.
+    `_swap_images([x; y; x])` call, `evaluate_rows(cur, [y; x])` with one
+    bounds comparison, whose images [F(x, y); F(y, x)] are the next stack,
+    and one `row_distances` call for both gaps. Each seed stops on its own
+    stopping rule; only at a step where some seed stops, or at
+    ``max_iter``, are the stopped seeds' last iterates, step counts and
+    stop flags written out and their rows dropped from the stack.
     Returns one SolveResult or None per seed and, for a seed that diverged,
     the DivergenceError its run raised.
 
@@ -234,7 +240,7 @@ def _run(
     live = np.arange(S)
     xyx = np.concatenate((X, Y, X))
     try:
-        img = F.evaluate_rows(xyx[: 2 * S], xyx[S:])
+        img = F._swap_images(xyx)
     except DomainError:
         seed_ok = [check_seed_condition(space, F, x, y) for x, y in zip(X, Y)]
         live, xyx, img = _step_images(F, live, xyx, errors, "iteration")
@@ -257,7 +263,7 @@ def _run(
         tail = worst_gap if ratio is None else worst_gap * ratio / (1.0 - ratio)
         done = tail <= tol
         last = n + 1 == config.max_iter
-        if last or done.any():
+        if last or np.count_nonzero(done):  # `done.any()`; see CoupledMap._swap_images
             halt = done | last
             k = live[halt]
             X[k], Y[k] = img[:m][halt], img[m:][halt]
@@ -462,6 +468,32 @@ class UniquenessReport:
     tol: float
 
 
+def _limit_diameter(space: SpaceDescriptor, X: np.ndarray, Y: np.ndarray) -> float | None:
+    """max(d(x_a, x_b), d(y_a, y_b)) over the pairs a < b of limit rows, or
+    None for fewer than two rows.
+
+    In the max metric, or in one dimension, a distance is the largest
+    |p_i - q_i|, and rounded subtraction and the norms are monotone, so
+    the coordinatewise max and min rows are the farthest pair: one
+    `row_distances` call gives the diameter bit for bit. The l1 and
+    euclidean metrics above one dimension take each row against the later
+    ones, O(S^2) in time and O(S) in memory.
+    """
+    if len(X) < 2:
+        return None
+    if space.metric == "max" or space.dim == 1:
+        top = np.stack((X.max(axis=0), Y.max(axis=0)))
+        bottom = np.stack((X.min(axis=0), Y.min(axis=0)))
+        return float(row_distances(space, top, bottom).max())
+    return float(max(
+        np.maximum(
+            row_distances(space, X[i : i + 1], X[i + 1 :]),
+            row_distances(space, Y[i : i + 1], Y[i + 1 :]),
+        ).max()
+        for i in range(len(X) - 1)
+    ))
+
+
 def uniqueness_probe(
     space: SpaceDescriptor,
     F: CoupledMap,
@@ -473,11 +505,14 @@ def uniqueness_probe(
     Seeds violating the seed condition are still run (and flagged in their
     SolveResult); a diverging run is recorded per-seed without aborting the
     probe. ``max_pairwise_distance`` is the largest max(d(x_a, x_b),
-    d(y_a, y_b)) over pairs of converged limits, each limit taken against
-    the later ones in one `row_distances` call. One joint bridge, which
-    dominates every converged limit in the pair order, is checked against
-    all of them at once, so the probe's work past the iteration grows
-    linearly in the seeds.
+    d(y_a, y_b)) over pairs of converged limits (`_limit_diameter`): in the
+    max metric or in one dimension, exactly the distance between the
+    coordinatewise max and min limits, in O(S); under l1 and euclidean
+    above one dimension, each limit taken against the later ones in one
+    `row_distances` call. One joint bridge, which dominates every converged
+    limit in the pair order, is checked against all of them at once, so
+    past the iteration only that O(S^2) diameter grows faster than the
+    seeds.
 
     All seeds iterate together in the loop `iterate` runs on one seed, so
     each seed's result equals that of `iterate` run from it alone, float for
@@ -503,15 +538,7 @@ def uniqueness_probe(
     limits = [r.fixed_pair for r in results if r is not None and r.converged]
     X = np.array([p.first for p in limits]).reshape(-1, F.dim)
     Y = np.array([p.second for p in limits]).reshape(-1, F.dim)
-    # Each limit against the later ones, so memory stays O(S).
-    pair_max = [
-        np.maximum(
-            row_distances(space, X[i : i + 1], X[i + 1 :]),
-            row_distances(space, Y[i : i + 1], Y[i + 1 :]),
-        ).max()
-        for i in range(len(limits) - 1)
-    ]
-    max_dist = float(max(pair_max)) if pair_max else None
+    max_dist = _limit_diameter(space, X, Y)
     bridge = Pair(X.max(axis=0), Y.min(axis=0)) if limits else None
     bridge_ok = bridge is None or bool(
         rows_product_leq(X, Y, bridge.first, bridge.second).all()

@@ -141,8 +141,9 @@ class CoupledMap:
             raise DomainError(
                 f"map {self.name!r} returned shape {out.shape}, expected {X.shape}"
             )
-        if not np.isfinite(out).all():
-            bad = out[np.argmin(np.all(np.isfinite(out), axis=1))]
+        finite = np.isfinite(out)
+        if np.count_nonzero(finite) != finite.size:  # `.all()`; see _swap_images
+            bad = out[np.argmin(np.all(finite, axis=1))]
             raise DomainError(f"map {self.name!r} returned non-finite values: {bad!r}")
         return out
 
@@ -180,6 +181,24 @@ class CoupledMap:
         x, y = as_point(X[good]), as_point(Y[good])  # raise for a non-finite argument
         outside = y if x_in[good] else x
         raise DomainError(f"input {outside.tolist()} outside the domain box of {self.name!r}")
+
+    def _swap_images(self, xyx: np.ndarray, padded: bool = False) -> np.ndarray:
+        """[F(x, y); F(y, x)] for the (3m, dim) float stack [x; y; x].
+
+        `evaluate_rows([x; y], [y; x], padded)` in one bounds comparison:
+        [x; y] holds every argument of both images. Where that comparison
+        fails, `evaluate_rows` itself runs and raises its own error.
+        """
+        m = len(xyx) // 3
+        cur, swapped = xyx[: 2 * m], xyx[m:]
+        if xyx.shape[1:] == (self.dim,):
+            lo, hi = self._padded if padded else (self.lower, self.upper)
+            inside = (lo <= cur) & (cur <= hi)
+            # `inside.all()` as a count: on an iteration step's few rows, the
+            # Python wrapper of ndarray.all costs more than the comparisons.
+            if np.count_nonzero(inside) == inside.size:
+                return self._evaluate_stack(cur, swapped)
+        return self.evaluate_rows(cur, swapped, padded)
 
 
 def _sample_blocks(n: int, dim: int):

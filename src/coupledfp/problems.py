@@ -148,6 +148,8 @@ def _share_rows(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     either sign therefore compare equal here.
     """
     _, first, group = np.unique(np.abs(d).sum(axis=1), return_index=True, return_inverse=True)
+    if len(first) == len(d):  # no repeated fingerprint, so no row can match another
+        return np.arange(len(d)), np.zeros(len(d), dtype=bool)
     j = first[group]
     match = d[j]
     same = np.all(d == match, axis=1)

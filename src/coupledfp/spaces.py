@@ -25,14 +25,16 @@ def as_point(coords, dim: int | None = None) -> np.ndarray:
     when ``dim`` is given and does not match.
     """
     try:
-        arr = np.atleast_1d(np.asarray(coords, dtype=float))
+        arr = np.asarray(coords, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError(f"a point needs numeric coordinates, got {coords!r}") from exc
-    if arr.ndim != 1:
+    if not arr.ndim:
+        arr = arr.reshape(1)
+    elif arr.ndim != 1:
         raise InputError(f"a point must be a flat sequence, got shape {arr.shape}")
     if arr.size == 0:
         raise InputError("a point needs at least one coordinate")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InputError(f"point has non-finite coordinates: {arr!r}")
     if dim is not None and arr.size != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {arr.size}")

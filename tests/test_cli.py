@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -427,13 +428,26 @@ json_payloads = st.recursive(
 )
 
 
+class _Count(int):
+    """An int subclass whose repr is not the number json writes."""
+
+    def __repr__(self):
+        return f"_Count({int(self)})"
+
+
 class TestJsonEncoder:
     @given(json_payloads)
     @example({"c, d": ["a, b", 1.0, True]})
+    @example([True, 1, False, 0, {"true": True, "one": 1, "false": False, "zero": 0}])
+    @example({"float": np.float64(0.1), "int": _Count(3), "both": [np.float64(-2.5), _Count(7)]})
+    @example({"tiny": 5e-324, "big": 1e16, "small": 1e-5, "all": [5e-324, 1e16, 1e-5]})
+    @example({'"\\\u2028\ud800': ['"\\\u2028\ud800']})
     def test_matches_indented_sorted_dumps(self, payload):
         assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
     @given(st.lists(st.floats() | st.integers(), min_size=1), st.integers(0, 3))
+    @example([0.5, -0.0, math.nan, math.inf, -math.inf, 2**64, 1e16, 5e-324], 1)
+    @example([0.5, -0.0, math.nan, math.inf, -math.inf, 2**64, 1e16, 5e-324, 1e-5], 1)
     def test_number_lists_at_any_depth(self, numbers, depth):
         payload = numbers
         for _ in range(depth):

@@ -173,6 +173,37 @@ def assert_runs_match_solo(space, F, seeds, config):
     return report
 
 
+def pairwise_diameter(space, X, Y):
+    """max(d(x_a, x_b), d(y_a, y_b)) over all pairs a < b of limit rows, or
+    None: the all-pairs formula, 2^16 pairs at a time to bound memory."""
+    a, b = np.triu_indices(len(X), k=1)
+    largest = None
+    for k in range(0, a.size, 2**16):
+        i, j = a[k : k + 2**16], b[k : k + 2**16]
+        dist = np.maximum(row_distances(space, X[i], X[j]), row_distances(space, Y[i], Y[j]))
+        largest = float(dist.max()) if largest is None else max(largest, float(dist.max()))
+    return largest
+
+
+def limit_sets(rng):
+    """A random (space, X, Y) limit set: any metric in 1-D, or max in up to 8-D."""
+    metric = str(rng.choice(["euclidean", "max", "l1"]))
+    dim = 1 if metric != "max" else int(rng.integers(1, 9))
+    count = int(rng.integers(1, 13))
+    kind = rng.integers(4)
+    if kind == 0:  # spread over many binades
+        scale = 10.0 ** rng.integers(-100, 100, (2, count, dim))
+        rows = rng.uniform(-1.0, 1.0, (2, count, dim)) * scale
+    elif kind == 1:  # duplicate limits: rows drawn from a pool of three
+        pool = rng.uniform(-1.0, 1.0, (2, 3, dim))
+        rows = pool[:, rng.integers(3, size=count)]
+    elif kind == 2:  # signed zeros and the smallest subnormals
+        rows = rng.choice([0.0, -0.0, 5e-324, -5e-324, 1.0], (2, count, dim))
+    else:
+        rows = rng.uniform(-1.0, 1.0, (2, count, dim))
+    return SpaceDescriptor(dim=dim, metric=metric), rows[0], rows[1]
+
+
 def assert_joint_bridge(space, report, limits):
     """The report's bridge is the fold of `find_bridge` over ``limits``, comparable to each."""
     if not limits:
@@ -187,8 +218,9 @@ def assert_joint_bridge(space, report, limits):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Call counts of CoupledMap.evaluate_rows, CoupledMap.evaluate and iteration.iterate."""
-    calls = {"evaluate_rows": 0, "evaluate": 0, "iterate": 0}
+    """Call counts of CoupledMap.evaluate_rows, CoupledMap._swap_images,
+    CoupledMap.evaluate and iteration.iterate."""
+    calls = {"evaluate_rows": 0, "_swap_images": 0, "evaluate": 0, "iterate": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -197,7 +229,7 @@ def calls(monkeypatch):
 
         return wrapper
 
-    for name in ("evaluate_rows", "evaluate"):
+    for name in ("evaluate_rows", "_swap_images", "evaluate"):
         monkeypatch.setattr(CoupledMap, name, counted(name, getattr(CoupledMap, name)))
     monkeypatch.setattr(iteration, "iterate", counted("iterate", iteration.iterate))
     return calls
@@ -299,7 +331,8 @@ class TestIterate:
         config = IterationConfig(max_iter=max_iter, tol=1e-10)
         result, _ = iterate(prob.space, prob.map, prob.seed.first, prob.seed.second, config)
         assert result.iterations_used == max_iter or result.converged
-        assert calls["evaluate_rows"] == result.iterations_used + 1
+        # a swap-stack call that fails its bounds comparison also calls evaluate_rows
+        assert calls["_swap_images"] + calls["evaluate_rows"] == result.iterations_used + 1
         assert calls["evaluate"] == 0
 
     def test_config_validation(self):
@@ -723,7 +756,7 @@ class TestUniquenessProbe:
         report = uniqueness_probe(linear.space, linear.map, probe_seeds(linear, count), config)
         assert report.all_agree
         steps = max(r.result.iterations_used for r in report.runs)
-        assert calls["evaluate_rows"] == steps + 1
+        assert calls["_swap_images"] + calls["evaluate_rows"] == steps + 1
         assert calls["evaluate"] == calls["iterate"] == 0
 
     @pytest.mark.parametrize("metric", ["euclidean", "max", "l1"])
@@ -751,6 +784,47 @@ class TestUniquenessProbe:
             expected = float(dist.max()) if dist.size else None
             assert bits(report.max_pairwise_distance) == bits(expected)
             assert_joint_bridge(space, report, limits)
+
+    def test_limit_diameter_is_the_pairwise_formula(self, monkeypatch):
+        # the max metric, and any metric in 1-D, take the max and min rows:
+        # one row_distances call, equal bit for bit to all pairs
+        rng = np.random.default_rng(2024)
+        counted = []
+        monkeypatch.setattr(
+            iteration, "row_distances", lambda *a: counted.append(1) or row_distances(*a)
+        )
+        sizes = set()
+        for _ in range(3000):
+            space, X, Y = limit_sets(rng)
+            counted.clear()
+            got = iteration._limit_diameter(space, X, Y)
+            assert bits(got) == bits(pairwise_diameter(space, X, Y))
+            assert len(counted) == (len(X) > 1)
+            sizes.add((space.metric, space.dim > 1, min(len(X), 3)))
+        assert len(sizes) == 3 * 3 + 3  # every metric in 1-D and max above, at 1, 2 and 3+ limits
+
+    @pytest.mark.parametrize("metric", ["l1", "euclidean"])
+    def test_limit_diameter_loops_above_one_dim(self, monkeypatch, metric):
+        space = SpaceDescriptor(dim=4, metric=metric)
+        X, Y = np.random.default_rng(5).uniform(-1.0, 1.0, (2, 9, 4))
+        counted = []
+        monkeypatch.setattr(
+            iteration, "row_distances", lambda *a: counted.append(1) or row_distances(*a)
+        )
+        got = iteration._limit_diameter(space, X, Y)
+        assert len(counted) == 2 * (9 - 1)  # each limit against the later ones
+        assert bits(got) == bits(pairwise_diameter(space, X, Y))
+
+    def test_wide_probe_diameter(self, linear):
+        report = uniqueness_probe(
+            linear.space, linear.map, probe_seeds(linear, 2000), IterationConfig()
+        )
+        assert report.all_agree
+        limits = [r.result.fixed_pair for r in report.runs]
+        X = np.array([p.first for p in limits])
+        Y = np.array([p.second for p in limits])
+        assert bits(report.max_pairwise_distance) == bits(pairwise_diameter(linear.space, X, Y))
+        assert report.max_pairwise_distance > 0.0
 
     @pytest.mark.parametrize("count", [10, 1000])
     def test_pairs_built_grow_linearly(self, linear, monkeypatch, count):

@@ -258,6 +258,71 @@ class TestOneEvaluatorContract:
         assert _outcome(lambda: F.evaluate_rows(Y, X)) == _outcome(lambda: F.evaluate(y, x))
 
 
+def _swap_outcomes(F, xyx, padded):
+    """`_outcome` of the swap-stack call on [x; y; x] and of its evaluate_rows call."""
+    m = len(xyx) // 3
+    return (
+        _outcome(lambda: F._swap_images(xyx, padded)),
+        _outcome(lambda: F.evaluate_rows(xyx[: 2 * m], xyx[m:], padded)),
+    )
+
+
+class TestSwapStackCall:
+    @pytest.mark.parametrize("padded", [False, True], ids=["strict", "padded"])
+    @pytest.mark.parametrize("name", ["linear_demo", "integral_demo:16", "expr_ln.json"])
+    def test_same_images_and_errors_as_evaluate_rows(self, name, padded):
+        if name.endswith(".json"):
+            F = load_problem(os.path.join(CONFIGS, name)).map
+        else:
+            builtin, _, dim = name.partition(":")
+            F = get_builtin(builtin, int(dim) if dim else None).map
+        lo, hi = F._padded if padded else (F.lower, F.upper)
+        # the upper half of the box, where ln(x1 + 0.5) of expr_ln is defined;
+        # the padded box's upper half reaches past the strict box
+        X, Y = np.random.default_rng(23).uniform(0.5 * (lo + hi), hi, (2, 8, F.dim))
+        xyx = np.concatenate((X, Y, X))
+        got, want = _swap_outcomes(F, xyx, padded)
+        assert isinstance(want, bytes) and got == want
+        if padded:
+            assert (xyx > F.upper).any()
+
+        for bad, kind in [(hi + 1.0, "outside the domain box"), (np.nan, "non-finite")]:
+            for row in (3, 8 + 5):  # an x row, then a y row
+                stack = xyx.copy()
+                stack[row] = bad
+                if row < 8:
+                    stack[16 + row] = bad
+                got, want = _swap_outcomes(F, stack, padded)
+                assert got == want and kind in want[1]
+
+        def non_finite(X, Y):
+            out = F.evaluator(X, Y).copy()
+            out[5, 0] = np.inf
+            return out
+
+        def raising(X, Y):
+            raise DomainError("no image on this stack")
+
+        for evaluator, error in [
+            (non_finite, "returned non-finite values"),
+            (raising, "no image on this stack"),
+        ]:
+            G = CoupledMap(F.name, F.dim, evaluator, F.lower, F.upper)
+            got, want = _swap_outcomes(G, xyx, padded)
+            assert got == want and want[0] == "DomainError" and error in want[1]
+        if name == "expr_ln.json":
+            stack = xyx.copy()
+            stack[[2, 18]] = -0.75
+            got, want = _swap_outcomes(F, stack, padded)
+            assert got == want == ("DomainError", "ln of non-positive value -0.25")
+
+    @pytest.mark.parametrize("dim,width", [(1, 2), (16, 15)])
+    def test_wrong_width_raises_the_same_error(self, dim, width):
+        F = get_builtin("linear_demo").map if dim == 1 else get_builtin("integral_demo", dim).map
+        got, want = _swap_outcomes(F, np.zeros((3, width)), False)
+        assert got == want and want[0] == "DimensionMismatchError"
+
+
 class TestRationalMinTerm:
     def test_zero_at_fixed_pair(self, linear):
         assert rational_min_term(SPACE1, linear.map, pair(0, 0), pair(0, 0)) == 0.0
